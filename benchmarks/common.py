@@ -50,16 +50,6 @@ def run_scenario(name: str, smoke: bool = False, mode: str = "event",
     return ScenarioRunner(spec, config=config, backend=backend).run(mode=mode)
 
 
-def active_scheduler() -> str:
-    """Name of the event-queue backend new :class:`Simulator` instances
-    will use (``REPRO_SCHEDULER`` env override, else the kernel
-    default) — stamped into run headers so heap-vs-calendar A/B records
-    accumulated in ``results.txt`` stay distinguishable."""
-    from repro.sim.kernel import DEFAULT_SCHEDULER
-
-    return os.environ.get("REPRO_SCHEDULER", DEFAULT_SCHEDULER)
-
-
 def record(experiment_id: str, title: str, body: str) -> None:
     """Print and persist one experiment's output block.
 
@@ -76,8 +66,7 @@ def record(experiment_id: str, title: str, body: str) -> None:
     if not _run_header_written:
         stamp = time.strftime("%Y-%m-%d %H:%M:%S")
         block = (f"\n##### run {stamp} (pid {os.getpid()}, "
-                 f"python {sys.version.split()[0]}, "
-                 f"scheduler {active_scheduler()}) #####\n") + block
+                 f"python {sys.version.split()[0]}) #####\n") + block
         _run_header_written = True
     print(block, file=sys.stderr)
     fd = os.open(RESULTS_PATH,

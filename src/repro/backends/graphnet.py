@@ -529,8 +529,11 @@ class FairShareNetwork(BaseGraphNetwork):
         self.gs_capacity = self.config.vcs_per_port
         #: Link-segment hop batching (docs/kernel.md): condense a flit's
         #: uncontended downstream crossings into one arrival event.
-        #: Exact — the golden fingerprints pin identical output either
-        #: way; ``REPRO_HOP_BATCHING=0`` switches it off for A/B runs.
+        #: Link counts, latencies and delivery times match an unbatched
+        #: run (the golden fingerprints pin identical output either way),
+        #: but not the order of same-timestamp events: the condensed
+        #: arrival is scheduled, and takes its seq, when the first hop
+        #: fires.  ``REPRO_HOP_BATCHING=0`` switches it off for A/B runs.
         if batch_hops is None:
             batch_hops = os.environ.get("REPRO_HOP_BATCHING", "1") != "0"
         self.batch_hops = batch_hops

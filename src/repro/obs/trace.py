@@ -15,9 +15,10 @@ The JSON written by :meth:`ChromeTraceSink.to_json` loads in
 becomes one named track) and is **byte-deterministic**: events are
 sorted by a total key and timestamps are rounded to femtosecond
 granularity, so the export is identical across ``run`` vs ``run_batch``
-driving, both schedulers, and hop batching on/off (condensed hops
-re-expand to the exact cycle boundaries an unbatched run fires at,
-differing only by float ulps, which the rounding absorbs).
+driving and hop batching on/off.  Condensed hops re-expand to the cycle
+boundaries an unbatched run fires at, differing only by float ulps,
+which the rounding absorbs.  Batching does not keep the order of
+same-timestamp events (``docs/kernel.md``); the total sort absorbs that.
 
 The module also provides :func:`render_timeline` (the terminal view of a
 tracer's ring) and :func:`validate_chrome_trace` (the schema check the

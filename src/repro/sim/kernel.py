@@ -17,37 +17,29 @@ Hot-path design notes (the kernel dominates large-mesh runtime):
   when several waiters pile up, and the ``_PROCESSED`` sentinel once the
   event has been dispatched.  This avoids a list allocation per event and
   an append per yield.
-* Pending entries live in a pluggable *scheduler* (``docs/kernel.md``).
-  The default is :class:`CalendarQueue`, a calendar/bucket queue tuned to
-  wire-delay granularity: entries hash into fixed-width time buckets
-  (width auto-calibrated from the inter-event deltas of the first pushes),
-  the due bucket is sorted once and consumed by pointer, and far-future
-  timers overflow into a plain binary-heap fallback.  ``scheduler="heap"``
-  (or ``REPRO_SCHEDULER=heap``) selects the PR 1 ``heapq`` scheduler —
-  still the reference model, no longer the canonical hot path — and both
-  drain in the identical (time, priority, seq) total order, so simulation
-  output is byte-for-byte the same under either backend.
+* Pending entries live in one ``heapq`` list (``docs/kernel.md``).  Each
+  entry is a ``(time, priority, seq, ...)`` tuple whose ``seq`` is
+  globally unique, so tuple comparison never reaches the mixed-width
+  tail and the heap pops in exact (time, priority, seq) order.
 * :class:`Timeout` construction and :meth:`Event.succeed` push through the
-  prebound ``Simulator._push`` instead of going through
-  :meth:`Simulator._enqueue`.
+  prebound ``Simulator._push`` (a C-level ``partial(heappush, heap)``)
+  instead of going through :meth:`Simulator._enqueue`.
 * :meth:`Simulator.defer` schedules a plain ``fn(*args)`` with no
   :class:`Event` allocation at all — links use it for flit delivery and
   unlock/credit wires, the highest-volume scheduling in the system.
 * :meth:`Simulator._drain` is the *only* drive loop: :meth:`Simulator.run`
   and :meth:`Simulator.run_until_triggered` are thin wrappers over it (via
   :meth:`Simulator.run_batch`), never separate stepping paths.
-* ``events_processed`` counts *logical* events dispatched: scheduler
+* ``events_processed`` counts *logical* events dispatched: heap
   entries, synchronous :func:`fire` deliveries, inline consumptions of
   already-processed events, and wire hops condensed away by link-segment
-  batching (``repro.backends.graphnet``).  All four were scheduler
+  batching (``repro.backends.graphnet``).  All four were heap
   round-trips in the seed kernel; counting them keeps events/sec
-  comparable as optimisations move work off the scheduler.
+  comparable as optimisations move work off the heap.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from functools import partial
 from heapq import heappop, heappush
 from time import perf_counter
@@ -65,10 +57,6 @@ __all__ = [
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
     "PRIORITY_LATE",
-    "CalendarQueue",
-    "HeapQueue",
-    "SCHEDULERS",
-    "DEFAULT_SCHEDULER",
 ]
 
 # Scheduling priorities: lower value pops first at equal timestamps.
@@ -98,7 +86,7 @@ def fire(event: "Event", value: Any = None) -> None:
     """
     if event._value is not _PENDING:
         # Without this guard a double trigger would run callbacks twice
-        # and leave a stale scheduler entry that crashes far from the cause.
+        # and leave a stale heap entry that crashes far from the cause.
         raise SimulationError("event already triggered")
     event.sim.events_processed += 1
     event._ok = True
@@ -251,7 +239,7 @@ class Timeout(Event):
 
     Construction is the single hottest allocation in the system (every
     ``yield sim.timeout(...)`` makes one), so it writes its slots and
-    pushes through the prebound scheduler fast path, bypassing the
+    pushes through the prebound heap-push fast path, bypassing the
     generic init chain.
     """
 
@@ -454,268 +442,19 @@ class Process(Event):
                 self._target = next_event
                 return
             # Already processed: consume its value immediately.  This is
-            # a logical event delivered without a scheduler round-trip
+            # a logical event delivered without a heap round-trip
             # (Event.completed fast path), so it counts as processed.
             self.sim.events_processed += 1
             event = next_event
 
 
-class HeapQueue:
-    """The PR 1 scheduler: one binary heap of mixed-width entry tuples.
-
-    Kept as the reference model for the calendar queue (and selectable
-    with ``scheduler="heap"`` for A/B benchmarks): ``heapq`` pops entries
-    in exact (time, priority, seq) order because ``seq`` is globally
-    unique, so tuple comparison never reaches the mixed-width tail.
-    """
-
-    name = "heap"
-
-    __slots__ = ("_heap", "push")
-
-    def __init__(self):
-        self._heap: list = []
-        # C-level partial: Timeout construction calls this once per event,
-        # so the heap backend pays no Python-frame overhead on push.
-        self.push = partial(heappush, self._heap)
-
-    def pop_due(self, until: float):
-        """Pop and return the earliest entry with time <= ``until``,
-        or ``None`` when nothing is due."""
-        heap = self._heap
-        if heap and heap[0][0] <= until:
-            return heappop(heap)
-        return None
-
-    def peek(self) -> float:
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
-class CalendarQueue:
-    """Calendar/bucket scheduler tuned to wire-delay granularity.
-
-    Entries hash into fixed-width time buckets (``idx = int(t / width)``,
-    a dict so empty buckets cost nothing); a lazy min-heap of bucket
-    indices orders the buckets; the due bucket is sorted once and consumed
-    through a pointer, with same-bucket pushes ``insort``-ed behind the
-    pointer.  Entries beyond ``horizon`` buckets overflow into a plain
-    binary heap — the far-future fallback for drain deadlines and watchdog
-    timers that would otherwise bloat the bucket index space.
-
-    The bucket width is auto-calibrated: the first ``calibration`` pushes
-    ride the overflow heap while their timestamps are sampled, then the
-    width is set to a small multiple of the mean non-zero inter-event
-    delta.  Pass an explicit ``width`` to skip calibration (tests do).
-
-    Drain order is *exactly* the (time, priority, seq) tuple order of the
-    ``heapq`` reference: ``int(t / width)`` is monotone in ``t``, so
-    bucket order respects time order, and each bucket is sorted by full
-    tuple comparison.  Determinism is non-negotiable — the golden
-    fingerprints pin it across both schedulers.
-
-    The invariant making pointer-consumption safe is that pushes never go
-    backwards in time: the kernel rejects negative delays, so every push
-    lands at or after the last popped entry.
-    """
-
-    name = "calendar"
-
-    __slots__ = ("_width", "_inv", "_horizon", "_buckets", "_bucket_heap",
-                 "_cur_list", "_cur_ptr", "_cur_idx", "_far", "_far_limit",
-                 "_len", "_samples", "_calibration", "width_factor")
-
-    def __init__(self, width: Optional[float] = None, horizon: int = 8192,
-                 calibration: int = 128, width_factor: float = 4.0):
-        self._buckets: dict = {}        # bucket idx -> unsorted entry list
-        self._bucket_heap: list = []    # lazy min-heap of bucket indices
-        self._cur_list: list = []       # sorted bucket being consumed
-        self._cur_ptr = 0
-        self._cur_idx = -1
-        self._far: list = []            # binary-heap fallback
-        self._len = 0
-        self._horizon = horizon
-        self._calibration = calibration
-        self.width_factor = width_factor
-        if width is not None:
-            if width <= 0:
-                raise ValueError(f"bucket width must be positive: {width}")
-            self._width = width
-            self._inv = 1.0 / width
-            self._far_limit = horizon * width
-            self._samples: Optional[list] = None
-        else:
-            self._width = 0.0
-            self._inv = 0.0
-            self._far_limit = -1.0      # everything far until calibrated
-            self._samples = []
-
-    @property
-    def bucket_width(self) -> Optional[float]:
-        """Calibrated bucket width in ns (``None`` before calibration)."""
-        return self._width or None
-
-    def _calibrate(self) -> None:
-        samples = sorted(self._samples)
-        self._samples = None
-        deltas = [b - a for a, b in zip(samples, samples[1:]) if b > a]
-        if deltas:
-            width = self.width_factor * (sum(deltas) / len(deltas))
-        else:
-            width = 1.0                 # degenerate: all-equal timestamps
-        self._width = max(width, 1e-9)
-        self._inv = 1.0 / self._width
-        # Buckets start from wherever the pending entries sit; the far
-        # heap drains into them through the migration path in _pop_slow.
-        base = int(self._far[0][0] * self._inv) if self._far else 0
-        self._far_limit = (base + self._horizon) * self._width
-
-    def push(self, entry) -> None:
-        self._len += 1
-        t = entry[0]
-        if t >= self._far_limit:        # far future (or pre-calibration)
-            heappush(self._far, entry)
-            samples = self._samples
-            if samples is not None:
-                samples.append(t)
-                if len(samples) >= self._calibration:
-                    self._calibrate()
-            return
-        idx = int(t * self._inv)
-        ci = self._cur_idx
-        if idx <= ci:
-            # Lands in (or, through float rounding, at the edge of) the
-            # bucket being consumed: insort behind the pointer keeps full
-            # tuple order.  Everything before the pointer is already
-            # dispatched and has time <= t, so lo=ptr is safe.
-            insort(self._cur_list, entry, self._cur_ptr)
-            return
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [entry]
-            heappush(self._bucket_heap, idx)
-        else:
-            bucket.append(entry)
-
-    def pop_due(self, until: float):
-        """Pop and return the earliest entry with time <= ``until``,
-        or ``None`` when nothing is due."""
-        lst = self._cur_list
-        ptr = self._cur_ptr
-        if ptr < len(lst):
-            entry = lst[ptr]
-            if entry[0] <= until:
-                self._cur_ptr = ptr + 1
-                self._len -= 1
-                return entry
-            return None
-        return self._pop_slow(until)
-
-    def _pop_slow(self, until: float):
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        far = self._far
-        while True:
-            while bucket_heap and bucket_heap[0] not in buckets:
-                heappop(bucket_heap)    # stale index of a consumed bucket
-            if not bucket_heap:
-                # Pure-heap mode: pre-calibration, or only far entries
-                # left.  The far heap is globally ordered on its own.
-                if far and far[0][0] <= until:
-                    self._len -= 1
-                    return heappop(far)
-                return None
-            nb = bucket_heap[0]
-            if far and far[0][0] < (nb + 1) * self._width:
-                # Far entries due inside (or before) the next bucket:
-                # migrate their whole bucket, then reselect.
-                fidx = int(far[0][0] * self._inv)
-                bucket = buckets.get(fidx)
-                if bucket is None:
-                    buckets[fidx] = bucket = []
-                    heappush(bucket_heap, fidx)
-                while far and int(far[0][0] * self._inv) == fidx:
-                    bucket.append(heappop(far))
-                continue
-            lst = buckets.pop(nb)
-            heappop(bucket_heap)
-            lst.sort()
-            self._cur_list = lst
-            self._cur_idx = nb
-            entry = lst[0]
-            if entry[0] <= until:
-                self._cur_ptr = 1
-                self._len -= 1
-                return entry
-            self._cur_ptr = 0
-            return None
-
-    def peek(self) -> float:
-        lst = self._cur_list
-        ptr = self._cur_ptr
-        if ptr < len(lst):
-            return lst[ptr][0]
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        while bucket_heap and bucket_heap[0] not in buckets:
-            heappop(bucket_heap)
-        best = _INF
-        if bucket_heap:
-            best = min(buckets[bucket_heap[0]])[0]
-        far = self._far
-        if far and far[0][0] < best:
-            best = far[0][0]
-        return best
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __bool__(self) -> bool:
-        return self._len > 0
-
-
-#: Scheduler registry: name -> zero-arg factory.  ``Simulator`` resolves
-#: ``scheduler=None`` through :data:`DEFAULT_SCHEDULER`, overridable per
-#: process with the ``REPRO_SCHEDULER`` environment variable (benchmarks
-#: A/B the backends without threading a parameter through every network
-#: constructor).
-SCHEDULERS: dict = {"heap": HeapQueue, "calendar": CalendarQueue}
-
-DEFAULT_SCHEDULER = "calendar"
-
-
-def _resolve_scheduler(scheduler):
-    if scheduler is None:
-        scheduler = os.environ.get("REPRO_SCHEDULER", "") or DEFAULT_SCHEDULER
-    if isinstance(scheduler, str):
-        try:
-            return SCHEDULERS[scheduler]()
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; "
-                f"registered: {sorted(SCHEDULERS)}") from None
-    return scheduler                    # instance with push/pop_due/peek
-
-
 class Simulator:
-    """Event loop over a pluggable scheduler of (time, priority, seq, ...)
-    entries.
+    """Event loop over one ``heapq`` of (time, priority, seq, ...) entries.
 
-    Deferred plain calls (see :meth:`defer`) ride the same scheduler as
-    ``(time, priority, sequence, None, fn, args)`` entries — the first
-    three elements alone order the queue, so entry widths may mix.
-
-    ``scheduler`` is a name from :data:`SCHEDULERS` (``"calendar"`` /
-    ``"heap"``), a pre-built queue instance, or ``None`` for the
-    ``REPRO_SCHEDULER`` / :data:`DEFAULT_SCHEDULER` resolution chain.
-    Both backends drain in the identical total order; the choice affects
-    wall-clock speed only, never simulation output.
+    Deferred plain calls (see :meth:`defer`) ride the same heap as
+    ``(time, priority, sequence, None, fn, args)`` entries — ``seq`` is
+    globally unique, so the first three elements alone order the heap
+    and entry widths may mix.
 
     ``profile`` opts into callback-site profiling: pass a profiler (any
     object with ``record(fn, seconds)`` and ``overhead(seconds)`` — see
@@ -726,16 +465,14 @@ class Simulator:
     *drain call*, never per event.
     """
 
-    def __init__(self, scheduler=None, profile=None):
-        sched = _resolve_scheduler(scheduler)
-        self._sched = sched
-        #: Scheduler backend name, surfaced in benchmark run headers.
-        self.scheduler = sched.name
-        # Prebound push fast path shared by Timeout/succeed/fail/defer.
-        self._push = sched.push
+    def __init__(self, profile=None):
+        self._heap: list = []
+        # Prebound push fast path shared by Timeout/succeed/fail/defer: a
+        # C-level partial, so a push costs no Python frame.
+        self._push = partial(heappush, self._heap)
         self._seq = 0
         self._now = 0.0
-        #: Logical events dispatched so far: scheduler entries, fire()
+        #: Logical events dispatched so far: heap entries, fire()
         #: deliveries, inline consumptions of already-processed events,
         #: and hops condensed by link-segment batching (see the module
         #: docstring); benchmarks report events per wall-clock second.
@@ -796,13 +533,14 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if nothing is scheduled."""
-        return self._sched.peek()
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
     # -- the event loop ----------------------------------------------------
 
     def _drain(self, until: float, max_entries: Optional[int],
                stop_event: Optional[Event]) -> int:
-        """Dispatch scheduler entries with time <= ``until``.
+        """Dispatch heap entries with time <= ``until``.
 
         Stops early after ``max_entries`` dispatches or once
         ``stop_event`` has triggered.  Returns the number dispatched.
@@ -810,20 +548,18 @@ class Simulator:
         """
         if self.profile is not None:
             return self._drain_profiled(until, max_entries, stop_event)
-        pop_due = self._sched.pop_due
+        heap = self._heap
         count = 0
         bounded = max_entries is not None or stop_event is not None
         try:
-            while True:
+            while heap and heap[0][0] <= until:
                 if bounded:
                     if count == max_entries:
                         break
                     if stop_event is not None and \
                             stop_event._value is not _PENDING:
                         break
-                entry = pop_due(until)
-                if entry is None:
-                    break
+                entry = heappop(heap)
                 self._now = entry[0]
                 count += 1
                 event = entry[3]
@@ -851,7 +587,7 @@ class Simulator:
         """Instrumented twin of :meth:`_drain`: identical dispatch order,
         but every callback/deferred call is timed and attributed to its
         *site* through ``self.profile``.  Time the loop spends outside
-        dispatches (scheduler pops, bookkeeping, the timer itself) is
+        dispatches (heap pops, bookkeeping, the timer itself) is
         attributed separately via ``profile.overhead``, so the profiler's
         total accounts for essentially the whole drain wall time.
 
@@ -862,22 +598,20 @@ class Simulator:
         """
         profile = self.profile
         record = profile.record
-        pop_due = self._sched.pop_due
+        heap = self._heap
         count = 0
         bounded = max_entries is not None or stop_event is not None
         t_loop = perf_counter()
         dispatched_s = 0.0
         try:
-            while True:
+            while heap and heap[0][0] <= until:
                 if bounded:
                     if count == max_entries:
                         break
                     if stop_event is not None and \
                             stop_event._value is not _PENDING:
                         break
-                entry = pop_due(until)
-                if entry is None:
-                    break
+                entry = heappop(heap)
                 self._now = entry[0]
                 count += 1
                 event = entry[3]
@@ -914,7 +648,7 @@ class Simulator:
 
     def step(self) -> None:
         """Process one event (advance time to it, run its callbacks)."""
-        if not self._sched:
+        if not self._heap:
             raise SimulationError("step() on an empty event queue")
         self._drain(_INF, 1, None)
 
@@ -943,7 +677,7 @@ class Simulator:
         if limit < self._now:
             raise SimulationError(f"until={until} is before now={self._now}")
         count = self._drain(limit, max_events, None)
-        if until is not None and self._sched.peek() > until:
+        if until is not None and self.peek() > until:
             if self._now < until:
                 self._now = until
         return count

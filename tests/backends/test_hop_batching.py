@@ -2,12 +2,17 @@
 
 Kernel speed round 2 lets a flit whose next K links are provably
 uncontended cross them all on a single scheduled event
-(``backends/graphnet.py``).  The contract is *exact condensation*:
-every flit still crosses every link at exactly the cycle the unbatched
-simulation would have used, so fingerprints, hop totals and verdicts
-are byte-identical with batching on or off — these tests pin that, plus
-the reservation bookkeeping (conflicting traffic truncates a reserved
+(``backends/graphnet.py``).  Every flit still crosses every link at
+exactly the cycle the unbatched simulation would have used, so
+fingerprints, hop totals, per-packet latencies and verdicts are
+identical with batching on or off — these tests pin that, plus the
+reservation bookkeeping (conflicting traffic truncates a reserved
 segment and the remainder reverts to real per-hop simulation).
+
+Batching is *not* fully exact: the condensed arrival is scheduled, and
+takes its seq, when the first hop fires, so same-timestamp events can
+dispatch in another order.  Order-sensitive outputs such as the
+streaming P^2 BE latency quantiles can differ (``docs/kernel.md``).
 
 ``REPRO_HOP_BATCHING=0`` is the kill switch; ``FairShareNetwork`` takes
 ``batch_hops`` directly for in-process A/B.
@@ -25,14 +30,14 @@ from repro.scenarios.golden import SMOKE_FINGERPRINTS
 FABRIC_CELLS = sorted(registry.names(tags=("fabric",)))
 
 
-def run_cell(name, monkeypatch, batching, smoke=True):
+def run_cell(name, monkeypatch, batching, smoke=True, retain=None):
     monkeypatch.setenv("REPRO_HOP_BATCHING", "1" if batching else "0")
     spec = get(name)
     if smoke:
         spec = spec.smoke()
-    runner = ScenarioRunner(spec)
+    runner = ScenarioRunner(spec, retain_packets=retain)
     result = runner.run()
-    return result, runner.network
+    return result, runner
 
 
 class TestEnvResolution:
@@ -66,7 +71,8 @@ class TestExactCondensation:
         assert [v.ok for v in on.gs] == [v.ok for v in off.gs]
 
     def test_batching_off_creates_no_batches(self, monkeypatch):
-        _, net = run_cell("ring-cbr-8x8", monkeypatch, batching=False)
+        _, runner = run_cell("ring-cbr-8x8", monkeypatch, batching=False)
+        net = runner.network
         assert net.batches == 0
         assert net.batched_hops == 0
 
@@ -75,14 +81,17 @@ class TestExactCondensation:
         """Full-duration ring cell: batches actually form (and some get
         truncated by contention — the loaded cell exercises both the
         commit and the conflict/truncation paths), yet the simulated
-        work is byte-identical."""
-        on, net_on = run_cell("ring-cbr-8x8", monkeypatch,
-                              batching=True, smoke=False)
-        off, net_off = run_cell("ring-cbr-8x8", monkeypatch,
-                                batching=False, smoke=False)
+        work is byte-identical and every BE packet keeps its latency."""
+        on, runner_on = run_cell("ring-cbr-8x8", monkeypatch,
+                                 batching=True, smoke=False, retain=True)
+        off, runner_off = run_cell("ring-cbr-8x8", monkeypatch,
+                                   batching=False, smoke=False, retain=True)
+        net_on, net_off = runner_on.network, runner_off.network
         assert on.fingerprint == off.fingerprint
         assert on.flit_hops == off.flit_hops
         assert on.passed and off.passed
+        assert runner_on.workload.latencies() == \
+            runner_off.workload.latencies()
         assert net_on.batches > 0          # condensation really happened
         assert net_on.batched_hops > 0
         assert net_off.batches == 0
@@ -113,8 +122,8 @@ class TestPendingBookkeeping:
         """Per-link ``pending`` counts (the eligibility oracle) must be
         exact: after a run fully drains, every link is back to zero and
         holds no transit reservation."""
-        _, net = run_cell("ring-cbr-8x8", monkeypatch, batching=True,
-                          smoke=False)
-        for link in net.fair_links.values():
+        _, runner = run_cell("ring-cbr-8x8", monkeypatch, batching=True,
+                             smoke=False)
+        for link in runner.network.fair_links.values():
             assert link.pending == 0, link.key
             assert link._transit is None, link.key

@@ -2,28 +2,29 @@
 
 The Chrome export's contract (``repro.obs.trace``): the same scenario
 produces the *same bytes* no matter how the kernel was driven —
-``run`` vs ``run_batch``, heap vs calendar-queue scheduler, link-segment
-hop batching on or off, and across repeated runs in one process (trace
-tags are run-relative, never process-global ids).  Any drift here means
-emission order or float arithmetic leaked into the artifact.
+``run`` vs ``run_batch``, the plain vs the profiled drain loop,
+link-segment hop batching on or off, and across repeated runs in one
+process (trace tags are run-relative, never process-global ids).  Any
+drift here means emission order or float arithmetic leaked into the
+artifact.
 """
 
 import pytest
 
-from repro.obs import ChromeTraceSink, ObsConfig
+from repro.obs import CallSiteProfiler, ChromeTraceSink, ObsConfig
 from repro.scenarios import ScenarioRunner, get
 from repro.sim.tracing import Tracer
 
-#: One mango mesh cell, one graph-fabric cell (the hop-batching and
-#: calendar-queue paths live in the fabrics).
+#: One mango mesh cell, one graph-fabric cell (the hop-batching path
+#: lives in the fabrics).
 CELLS = ("be-uniform-4x4", "ring-cbr-8x8")
 
 
-def _export(name, mode="event"):
+def _export(name, mode="event", profile=None):
     sink = ChromeTraceSink()
     tracer = Tracer(enabled=True, sink=sink)
-    result = ScenarioRunner(get(name).smoke(),
-                            obs=ObsConfig(tracer=tracer)).run(mode=mode)
+    obs = ObsConfig(tracer=tracer, profile=profile)
+    result = ScenarioRunner(get(name).smoke(), obs=obs).run(mode=mode)
     assert result.passed, result.failures()
     return sink.to_json(), result.fingerprint
 
@@ -43,18 +44,18 @@ def test_event_vs_batch_drive(cell):
 
 
 @pytest.mark.parametrize("cell", CELLS)
-def test_heap_vs_calendar_scheduler(cell, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    heap = _export(cell)
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    calendar = _export(cell)
-    assert heap == calendar
+def test_plain_vs_profiled_drain(cell):
+    plain = _export(cell)
+    profiled = _export(cell, profile=CallSiteProfiler())
+    assert plain == profiled
 
 
 def test_hop_batching_on_off(monkeypatch):
     # Mango is excluded from batching; the ring fabric actually
     # condenses uncontended segments — batched hops must re-expand to
-    # the exact unbatched cycle boundaries in the export.
+    # the unbatched cycle boundaries in the export.  Batching may emit
+    # same-timestamp records in another order; the export's total sort
+    # absorbs that.
     monkeypatch.setenv("REPRO_HOP_BATCHING", "0")
     off = _export("ring-cbr-8x8")
     monkeypatch.setenv("REPRO_HOP_BATCHING", "1")

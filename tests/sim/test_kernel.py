@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.kernel import (
+    PRIORITY_URGENT,
     AllOf,
     AnyOf,
     Event,
@@ -114,6 +115,28 @@ class TestSimulatorOrdering:
             sim.timeout(1.0).add_callback(lambda e, t=tag: order.append(t))
         sim.run()
         assert order == list(range(10))
+
+    def test_defer_and_timeouts_interleave_by_seq(self, sim):
+        # defer calls and timeouts at the same (time, priority) share one
+        # global seq counter, so they dispatch in schedule order.
+        order = []
+        sim.defer(10.0, order.append, "defer-0")
+        sim.timeout(10.0, "event-1").add_callback(
+            lambda ev: order.append(ev.value))
+        sim.defer(10.0, order.append, "defer-2")
+        sim.timeout(10.0, "event-3").add_callback(
+            lambda ev: order.append(ev.value))
+        sim.run()
+        assert order == ["defer-0", "event-1", "defer-2", "event-3"]
+
+    def test_urgent_priority_beats_earlier_seq(self, sim):
+        order = []
+        sim.defer(5.0, order.append, "normal")      # NORMAL, earlier seq
+        urgent = sim.event()
+        urgent.add_callback(lambda ev: order.append(ev.value))
+        urgent.succeed("urgent", delay=5.0, priority=PRIORITY_URGENT)
+        sim.run()
+        assert order == ["urgent", "normal"]
 
     def test_run_until_stops_clock(self, sim):
         sim.timeout(10.0)
