@@ -11,9 +11,7 @@ cache — and asserts:
   single-core host no speedup exists to measure, so only equality is
   asserted and the wall times are recorded as informational);
 * the cache replay serves every cell without recomputation, faster
-  than the serial run;
-* the :mod:`repro.bench` payload built from the outcomes round-trips
-  through ``BENCH_*.json`` (write -> load -> schema check).
+  than the serial run.
 """
 
 import os
@@ -21,7 +19,6 @@ import tempfile
 import time
 
 from repro.analysis.report import Table
-from repro.bench import bench_payload, load_bench, write_bench
 from repro.scenarios import registry
 from repro.scenarios.fleet import FleetCell, run_fleet
 
@@ -101,15 +98,3 @@ def test_fleet_speedup_and_determinism(benchmark):
         assert data["t_parallel"] < data["t_serial"], \
             (f"jobs={JOBS} took {data['t_parallel']:.2f}s vs serial "
              f"{data['t_serial']:.2f}s on {cpus} cpus")
-
-    # The BENCH payload round-trips through disk, schema-checked.
-    payload = bench_payload(parallel, {"smoke": True, "jobs": JOBS},
-                            fleet_wall_s=data["t_parallel"])
-    with tempfile.TemporaryDirectory() as out_dir:
-        path = write_bench(payload, out_dir)
-        loaded = load_bench(path)
-    assert loaded["totals"]["cells"] == len(registry.names())
-    assert loaded["totals"]["passed"] == len(registry.names())
-    assert loaded["cells"]["be-uniform-4x4"]["fingerprint"] == \
-        next(o.fingerprint for o in parallel
-             if o.cell.name == "be-uniform-4x4")

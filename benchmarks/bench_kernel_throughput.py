@@ -16,50 +16,31 @@ run-phase (construction excluded) rates:
   are comparable even when a kernel change alters the event count for
   the same workload.
 
-Since kernel speed round 2 this module is also a *gate*:
+``test_hop_batching_ab`` replays a fabric cell (mango is excluded from
+link-segment hop batching, ``backends/graphnet.py``) with batching on
+and off and asserts the fingerprint, hop total and verdicts are
+identical.  Batching is not fully exact: it can reorder same-timestamp
+events, which moves the streaming BE latency quantiles
+(``docs/kernel.md``).
 
-* ``test_kernel_throughput`` asserts the 8x8 mixed GS+BE cell clears
-  ``SPEEDUP_FLOOR`` x the events/sec recorded in the committed PR 7
-  baseline (``benchmarks/baselines/``).  Part of that multiple is the
-  round-2 accounting change (synchronous deliveries now count, ~1.7x
-  on this cell) and part is real wall-clock speedup — the floor gates
-  the product, so either regressing shows up red.
-* ``test_hop_batching_ab`` replays a fabric cell (mango is excluded
-  from link-segment hop batching, ``backends/graphnet.py``) with
-  batching on and off and asserts the fingerprint, hop total and
-  verdicts are identical.  Batching is not fully exact: it can reorder
-  same-timestamp events, which moves the streaming BE latency
-  quantiles (``docs/kernel.md``).
-
-The absolute events/sec numbers are machine-dependent; the flit-hop
-counts are not (asserted below, stable since the scenarios were
-hand-rolled here — the runner reproduces the original construction
-order exactly).
+The rates are machine-dependent and informational (simulator speed is
+gated by ``benchmarks/perf/``); the flit-hop counts are not (asserted
+below, stable since the scenarios were hand-rolled here — the runner
+reproduces the original construction order exactly).
 """
 
 import contextlib
-import json
 import os
 
 from repro.analysis.report import Table
 
-from .common import BASELINES_DIR, record, run_once, run_scenario
+from .common import record, run_once, run_scenario
 
 #: (registry scenario, expected full-duration flit hops).  The totals
 #: predate the scenario engine: any drift means the workload itself
 #: changed, not just the kernel.
 SCENARIOS = (("corner-streams-6x6", 18_484),
              ("corner-streams-8x8", 29_396))
-
-#: The committed PR 7 trajectory point the round-2 speedup is measured
-#: against — pinned by name so refreshing the *latest* baseline never
-#: silently moves this reference.
-PR7_BASELINE = "BENCH_2026-08-07_f8e5ec0e.json"
-
-#: Asserted events/sec multiple over the PR 7 baseline on the mixed
-#: GS+BE 8x8 cell (see the module docstring for what the multiple is
-#: made of).
-SPEEDUP_FLOOR = 3.0
 
 #: Fabric cell for the batching A/B — ring backend, where uncontended
 #: link segments actually condense (mango keeps per-hop events).
@@ -79,14 +60,6 @@ def _env(name, value):
             del os.environ[name]
         else:
             os.environ[name] = old
-
-
-def pr7_events_per_s(cell: str) -> float:
-    """events/sec the committed PR 7 baseline recorded for ``cell``."""
-    path = os.path.join(BASELINES_DIR, PR7_BASELINE)
-    with open(path) as handle:
-        payload = json.load(handle)
-    return payload["cells"][cell]["events_per_s"]
 
 
 def run_experiment():
@@ -120,15 +93,6 @@ def test_kernel_throughput(benchmark):
         # change here means the workload — not just the kernel —
         # changed).
         assert result.flit_hops == expected, name
-
-    # The round-2 speed gate: the 8x8 cell must clear SPEEDUP_FLOOR x
-    # the committed PR 7 rate (smoke-recorded, so the baseline rate is
-    # if anything flattered by its shorter run).
-    floor = SPEEDUP_FLOOR * pr7_events_per_s("corner-streams-8x8")
-    rate = results[-1].events / results[-1].wall_s
-    assert rate >= floor, (
-        f"corner-streams-8x8: {rate:.0f} events/s < {floor:.0f} "
-        f"({SPEEDUP_FLOOR}x the committed PR 7 baseline)")
 
 
 def run_batching_ab():

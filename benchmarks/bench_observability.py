@@ -1,7 +1,7 @@
 """O1 — Observability overhead: telemetry must be free when off.
 
 Not a paper experiment: it gates the telemetry layer (``repro.obs``,
-PR 10) the way K1 gates the kernel.  The layer's contract is
+PR 10) the way K1 guards the kernel.  The layer's contract is
 
 * **off is free** — with no :class:`~repro.obs.ObsConfig` the only
   residue on the hot path is the emit-point guards (``if
@@ -13,7 +13,7 @@ PR 10) the way K1 gates the kernel.  The layer's contract is
   branch per kernel event) must stay under ``OVERHEAD_BUDGET`` of the
   plain run's wall time;
 * **on is honest** — metrics, tracing and profiling may tax events/sec
-  (recorded here as the "tax vs off" column so the trajectory shows
+  (recorded here as the "tax vs off" column so ``results.txt`` shows
   what enabling each mode costs) but must never perturb the simulation:
   fingerprints are asserted byte-identical across all four modes.
 """

@@ -5,9 +5,8 @@ experiment index in DESIGN.md).  Results are printed and appended to
 ``benchmarks/results.txt`` so the paper-vs-measured record survives pytest
 output capturing; EXPERIMENTS.md is written from that file.
 
-The machine-readable perf trajectory lives next door: fleet runs write
-``BENCH_*.json`` files (``repro.bench``), with the CI baseline committed
-under ``benchmarks/baselines/`` — see ``docs/benchmarks.md``.
+Simulator speed is measured by the serial perf harness next door,
+``benchmarks/perf/`` (see its README).
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ import sys
 import time
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
-
-#: Committed ``BENCH_*.json`` baselines (the CI ``fleet-smoke`` job
-#: compares a fresh record against the newest file in here).
-BASELINES_DIR = os.path.join(os.path.dirname(__file__), "baselines")
 
 _run_header_written = False
 
@@ -75,16 +70,6 @@ def record(experiment_id: str, title: str, body: str) -> None:
         os.write(fd, block.encode("utf-8"))
     finally:
         os.close(fd)
-
-
-def latest_baseline() -> str:
-    """Path of the newest committed ``BENCH_*.json`` baseline, or an
-    empty string when none has been recorded yet."""
-    if not os.path.isdir(BASELINES_DIR):
-        return ""
-    names = sorted(name for name in os.listdir(BASELINES_DIR)
-                   if name.startswith("BENCH_") and name.endswith(".json"))
-    return os.path.join(BASELINES_DIR, names[-1]) if names else ""
 
 
 def run_once(benchmark, fn):

@@ -8,10 +8,6 @@ Commands:
 * ``scenario``   — the declarative scenario matrix: ``list``, ``run`` one
   scenario, or drive the whole conformance ``matrix`` (``--jobs N``
   shards it over worker processes)
-* ``bench``      — the persisted perf trajectory: ``record`` a
-  machine-readable ``BENCH_*.json`` from a fleet run, ``compare``
-  a run against a recorded baseline (the CI regression gate), or
-  ``report`` the markdown trend table over a series of BENCH files
 * ``trace``      — flit-timeline observability: ``run`` a scenario with
   tracing enabled and export a Chrome trace-event JSON (or print the
   text timeline), or ``validate`` an exported file against the schema
@@ -20,15 +16,20 @@ Commands:
 * ``alloc``      — connection allocation: print a named adversarial
   ``demand-set`` as JSON, or ``report`` the acceptance-rate comparison
   of the registered strategies on a demand set
+* ``synth``      — QoS-driven design-space synthesis: ``run`` finds the
+  cheapest configuration that admits a demand set, ``frontier`` its
+  cost-vs-demand curve
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
-from . import Coord, MangoNetwork, RouterConfig, TYPICAL, WORST_CASE
+from . import (AdmissionError, Coord, MangoNetwork, RouterConfig, TYPICAL,
+               WORST_CASE)
 from .analysis.area import AreaModel, TABLE1_PAPER_MM2
 from .analysis.qos import contract_for_path
 from .analysis.report import Table
@@ -54,7 +55,34 @@ def cmd_report(_args) -> int:
     return 0
 
 
+def _too_small(floor, *flags) -> bool:
+    """Refuse the first ``(flag, value)`` pair whose value is set but not
+    ``>= floor`` (NaN included): print one stderr line naming the flag
+    and return True, so the caller exits 2 before anything runs."""
+    for flag, value in flags:
+        if value is not None and not value >= floor:
+            print(f"{flag} must be >= {floor} (got {value})",
+                  file=sys.stderr)
+            return True
+    return False
+
+
+def _write_out(path, text) -> bool:
+    """Write an ``--out`` file; when that fails print one stderr line
+    naming the flag and return False, so the caller exits 2."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as error:
+        print(f"--out: cannot write {path}: {error.strerror}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_contract(args) -> int:
+    if _too_small(1, ("--hops", args.hops)):
+        return 2
     contract = contract_for_path(args.hops, RouterConfig())
     table = Table(["guarantee", "value"],
                   title=f"QoS contract for a {args.hops}-hop GS connection"
@@ -66,10 +94,21 @@ def cmd_contract(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if _too_small(1, ("--cols", args.cols), ("--rows", args.rows)) or \
+            _too_small(0, ("--flits", args.flits),
+                       ("--horizon", args.horizon)):
+        return 2
     net = MangoNetwork(args.cols, args.rows)
     src, dst = Coord(0, 0), Coord(args.cols - 1, args.rows - 1)
     print(f"opening GS connection {src} -> {dst} ...")
-    conn = net.open_connection(src, dst)
+    try:
+        conn = net.open_connection(src, dst)
+    except AdmissionError as error:
+        # Fresh mesh, one connection: only the geometry can refuse it
+        # (a 1x1 mesh, or a corner route past the route-header limit).
+        print(f"--cols/--rows: cannot open {src} -> {dst}: {error}",
+              file=sys.stderr)
+        return 2
     print(f"  open after {net.now:.1f} ns (programmed via BE packets)")
     for value in range(args.flits):
         conn.send(value)
@@ -109,18 +148,25 @@ def cmd_scenario(args) -> int:
         size = f"{spec.cols}x{spec.rows}"
         return size if spec.topology == "mesh" else f"{size} {spec.topology}"
 
-    # Fleet flags are matrix-only; refused elsewhere, never ignored.
-    if args.action != "matrix" and args.jobs != 1:
-        print("--jobs only applies to 'matrix' (see docs/benchmarks.md)",
-              file=sys.stderr)
+    # Matrix-only flags are refused elsewhere, never ignored.
+    if args.action != "matrix":
+        for flag, used in (("--jobs", args.jobs != 1),
+                           ("--cache-dir", args.cache_dir is not None),
+                           ("--names", args.names is not None),
+                           ("--update-golden", args.update_golden)):
+            if used:
+                print(f"{flag} only applies to 'matrix' "
+                      "(see docs/benchmarks.md)", file=sys.stderr)
+                return 2
+    if _too_small(1, ("--jobs", args.jobs)):
         return 2
-    if args.action != "matrix" and args.cache_dir:
-        print("--cache-dir only applies to 'matrix' "
-              "(see docs/benchmarks.md)", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
-        return 2
+    if args.cache_dir is not None:
+        try:
+            os.makedirs(args.cache_dir, exist_ok=True)
+        except OSError as error:
+            print(f"--cache-dir: cannot use {args.cache_dir}: "
+                  f"{error.strerror}", file=sys.stderr)
+            return 2
     if args.action == "list" and args.metrics:
         print("--metrics only applies to 'run' and 'matrix'",
               file=sys.stderr)
@@ -128,7 +174,8 @@ def cmd_scenario(args) -> int:
     if args.metrics_sample_ns is not None and not args.metrics:
         print("--metrics-sample-ns needs --metrics", file=sys.stderr)
         return 2
-    if args.metrics_sample_ns is not None and args.metrics_sample_ns <= 0:
+    if args.metrics_sample_ns is not None \
+            and not args.metrics_sample_ns > 0:
         print("--metrics-sample-ns must be positive", file=sys.stderr)
         return 2
     if args.metrics_sample_ns is not None and args.action == "matrix":
@@ -298,9 +345,13 @@ def cmd_scenario(args) -> int:
             return SMOKE_FINGERPRINTS.get(name)
         return BACKEND_SMOKE_FINGERPRINTS.get(ran_on, {}).get(name)
     selected = registry.names()
-    if args.names:
+    if args.names is not None:
         selected = resolve([n.strip() for n in args.names.split(",")
                             if n.strip()])
+        if not selected:
+            print(f"--names selects no scenario (got {args.names!r})",
+                  file=sys.stderr)
+            return 2
     from .scenarios.fleet import FleetCell, run_fleet
     cells = [FleetCell(name=name, backend=args.backend,
                        allocator=args.allocator, topology=args.topology,
@@ -393,154 +444,6 @@ def cmd_scenario(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(args) -> int:
-    import time
-
-    from .bench import (DEFAULT_TOLERANCE, bench_payload, compare_benches,
-                        load_bench, trajectory_report, write_bench)
-    from .scenarios import registry
-    from .scenarios.fleet import FleetCell, run_fleet
-
-    # Flags scoped to the other action are refused, not ignored.
-    if args.action in ("record", "report"):
-        for flag, value in (("--against", args.against),
-                            ("--current", args.current),
-                            ("--tolerance", args.tolerance)):
-            if value is not None:
-                print(f"{flag} only applies to 'compare'", file=sys.stderr)
-                return 2
-    if args.action == "compare" and args.out is not None:
-        print("--out only applies to 'record' and 'report'",
-              file=sys.stderr)
-        return 2
-    if args.action != "report" and args.files:
-        print("BENCH files are 'report' arguments (record/compare take "
-              "--out/--against)", file=sys.stderr)
-        return 2
-    if args.action == "report":
-        for flag, value in (("--names", args.names),
-                            ("--backend", args.backend)):
-            if value is not None:
-                print(f"{flag} only applies to 'record'/'compare'",
-                      file=sys.stderr)
-                return 2
-        if args.metrics or args.smoke or args.jobs != 1 \
-                or args.allocator != "xy":
-            print("report reads recorded files; run flags "
-                  "(--metrics/--smoke/--jobs/--allocator) do not apply",
-                  file=sys.stderr)
-            return 2
-        if not args.files:
-            print("report needs at least one recorded BENCH_*.json",
-                  file=sys.stderr)
-            return 2
-        try:
-            text = trajectory_report(args.files)
-        except (OSError, ValueError) as error:
-            print(f"cannot build trajectory report: {error}",
-                  file=sys.stderr)
-            return 2
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-            print(f"wrote trajectory report ({len(args.files)} points) "
-                  f"to {args.out}")
-        else:
-            print(text, end="")
-        return 0
-    if args.action == "compare" and args.metrics:
-        print("--metrics only applies to 'record' (compare inherits the "
-              "baseline's axes)", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
-        return 2
-
-    def collect():
-        """Run the fleet now (no result cache: recorded wall times must
-        be measurements, not replays) and assemble the payload."""
-        selected = registry.names()
-        if args.names:
-            names = [n.strip() for n in args.names.split(",")
-                     if n.strip()]
-            unknown = [n for n in names if n not in registry.SCENARIOS]
-            if unknown:
-                print(f"unknown scenario(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                raise SystemExit(2)
-            selected = names
-        cells = [FleetCell(name=name, backend=args.backend,
-                           allocator=args.allocator, smoke=args.smoke,
-                           metrics=args.metrics)
-                 for name in selected]
-        start = time.perf_counter()
-        outcomes = run_fleet(cells, jobs=args.jobs)
-        wall = time.perf_counter() - start
-        run_info = {"smoke": args.smoke, "mode": "event",
-                    "jobs": args.jobs, "backend": args.backend or "auto",
-                    "allocator": args.allocator,
-                    "names": args.names or "all",
-                    # Part of the header so `compare` can warn when two
-                    # records were taken at different observability
-                    # settings (overhead skews events/sec).
-                    "observability": ("metrics" if args.metrics
-                                      else "off")}
-        return bench_payload(outcomes, run_info, fleet_wall_s=wall)
-
-    if args.action == "record":
-        payload = collect()
-        path = write_bench(payload, args.out or ".")
-        totals = payload["totals"]
-        print(f"recorded {totals['cells']} cells ({totals['passed']} "
-              f"passed, {totals['failed']} failed, {totals['skipped']} "
-              f"skipped, {totals['errors']} errors) in "
-              f"{totals['fleet_wall_s']:.1f}s -> {path}")
-        if totals["failed"] or totals["errors"]:
-            return 1
-        if totals["passed"] == 0:
-            print("warning: nothing ran — every cell skipped; this "
-                  "trajectory point proves nothing", file=sys.stderr)
-            return 3
-        return 0
-
-    # compare
-    if not args.against:
-        print("compare needs --against FILE (a recorded BENCH_*.json)",
-              file=sys.stderr)
-        return 2
-    tolerance = (DEFAULT_TOLERANCE if args.tolerance is None
-                 else args.tolerance)
-    if not 0 <= tolerance < 1:
-        print(f"--tolerance must be in [0, 1) (got {tolerance})",
-              file=sys.stderr)
-        return 2
-    try:
-        baseline = load_bench(args.against)
-    except (OSError, ValueError) as error:
-        print(f"cannot load baseline: {error}", file=sys.stderr)
-        return 2
-    if args.current:
-        try:
-            current = load_bench(args.current)
-        except (OSError, ValueError) as error:
-            print(f"cannot load current run: {error}", file=sys.stderr)
-            return 2
-    else:
-        current = collect()
-    regressions, notes = compare_benches(current, baseline,
-                                         tolerance=tolerance)
-    for note in notes:
-        print(f"note: {note}")
-    for regression in regressions:
-        print(f"REGRESSION: {regression}")
-    if regressions:
-        print(f"{len(regressions)} regression(s) vs {args.against} "
-              f"(tolerance {tolerance:.0%})")
-        return 1
-    print(f"no regressions vs {args.against} (tolerance {tolerance:.0%})")
-    return 0
-
-
 def _resolve_cell(args):
     """Resolve a trace/profile scenario argument to a (smoked) spec, or
     ``None`` (after printing why) when the name is unknown."""
@@ -597,6 +500,9 @@ def cmd_trace(args) -> int:
         return 0
 
     # run
+    if _too_small(1, ("--limit", args.limit),
+                  ("--max-records", args.max_records)):
+        return 2
     try:
         filters = parse_filters(args.filter or [])
     except ValueError as error:
@@ -619,7 +525,8 @@ def cmd_trace(args) -> int:
                             obs=ObsConfig(tracer=tracer))
     result = runner.run()
     if args.out:
-        sink.save(args.out)
+        if not _write_out(args.out, sink.to_json() + "\n"):
+            return 2
         dropped = f" ({sink.dropped} dropped at the sink cap)" \
             if sink.dropped else ""
         print(f"wrote {len(sink)} trace events to {args.out}"
@@ -638,8 +545,7 @@ def cmd_profile(args) -> int:
     from .obs import CallSiteProfiler, ObsConfig
     from .scenarios import ScenarioRunner
 
-    if args.top < 1:
-        print(f"--top must be >= 1 (got {args.top})", file=sys.stderr)
+    if _too_small(1, ("--top", args.top)):
         return 2
     spec = _resolve_cell(args)
     if spec is None:
@@ -692,9 +598,9 @@ def cmd_alloc(args) -> int:
                 with open(args.demands) as handle:
                     return DemandSet.from_json(handle.read())
             except (OSError, ValueError, KeyError, TypeError) as error:
-                print(f"cannot load demand set from {args.demands}: "
-                      f"{error!r} (see docs/allocation.md for the file "
-                      "format)", file=sys.stderr)
+                print(f"--demands: cannot load demand set from "
+                      f"{args.demands}: {error!r} (see docs/allocation.md "
+                      "for the file format)", file=sys.stderr)
                 raise SystemExit(2)
         name = args.name or "column-saturated-8x8"
         try:
@@ -723,8 +629,8 @@ def cmd_alloc(args) -> int:
             return 0
         dset = load_demand_set()
         if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(dset.to_json() + "\n")
+            if not _write_out(args.out, dset.to_json() + "\n"):
+                return 2
             print(f"wrote {len(dset)} demands to {args.out}")
         else:
             print(dset.to_json())
@@ -780,15 +686,17 @@ def cmd_synth(args) -> int:
               "batch-aware allocator (see docs/synthesis.md)",
               file=sys.stderr)
         return 2
+    if _too_small(1, ("--budget", args.budget), ("--points", args.points)):
+        return 2
 
     if args.demands:
         try:
             with open(args.demands) as handle:
                 dset = DemandSet.from_json(handle.read())
         except (OSError, ValueError, KeyError, TypeError) as error:
-            print(f"cannot load demand set from {args.demands}: "
-                  f"{error!r} (see docs/allocation.md for the file "
-                  "format)", file=sys.stderr)
+            print(f"--demands: cannot load demand set from "
+                  f"{args.demands}: {error!r} (see docs/allocation.md "
+                  "for the file format)", file=sys.stderr)
             return 2
     else:
         try:
@@ -803,7 +711,7 @@ def cmd_synth(args) -> int:
                      name.strip() for name in args.families.split(",")))
                  if args.families else DesignSpace())
     except ValueError as error:
-        print(str(error), file=sys.stderr)
+        print(f"--families: {error}", file=sys.stderr)
         return 2
 
     def label_of(candidate) -> str:
@@ -855,8 +763,8 @@ def cmd_synth(args) -> int:
         print(table.render())
 
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json() + "\n")
+        if not _write_out(args.out, report.to_json() + "\n"):
+            return 2
         print(f"wrote synthesis report to {args.out}")
 
     infeasible = [pt["demand_set"] for pt in report.points
@@ -909,7 +817,8 @@ def _write_golden(golden_module, fingerprints) -> None:
         handle.write(head + body)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser (every subcommand)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MANGO clockless NoC router reproduction (DATE 2005)")
@@ -979,45 +888,6 @@ def main(argv=None) -> int:
                           help="additionally snapshot gauges on this "
                                "simulated-time cadence ('run' with "
                                "--metrics only)")
-
-    bench = sub.add_parser(
-        "bench", help="perf trajectory: record/compare/report "
-                      "BENCH_*.json (see docs/benchmarks.md)")
-    bench.add_argument("action", choices=("record", "compare", "report"))
-    bench.add_argument("files", nargs="*",
-                       help="recorded BENCH_*.json files ('report' "
-                            "only)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI-sized durations (capped slots/flits)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="fleet worker processes")
-    bench.add_argument("--names",
-                       help="comma-separated scenario subset")
-    bench.add_argument("--backend", choices=backend_names(), default=None,
-                       help="router architecture to record on "
-                            "(default: each cell's topology default)")
-    bench.add_argument("--allocator", choices=allocator_names(),
-                       default="xy",
-                       help="GS admission strategy (mango-manager "
-                            "backends only)")
-    bench.add_argument("--out", default=None,
-                       help="directory for the BENCH_*.json file "
-                            "('record' only; default: current dir)")
-    bench.add_argument("--against",
-                       help="baseline BENCH_*.json to compare the "
-                            "current run to ('compare' only)")
-    bench.add_argument("--current",
-                       help="compare this recorded file instead of "
-                            "running the matrix now ('compare' only)")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="allowed fractional per-cell throughput "
-                            "drop before 'compare' flags a regression "
-                            "(default 0.3)")
-    bench.add_argument("--metrics", action="store_true",
-                       help="record with the metrics probe set enabled "
-                            "('record' only; the BENCH header notes the "
-                            "observability mode so 'compare' can warn "
-                            "on mismatched settings)")
 
     trace = sub.add_parser(
         "trace", help="per-flit timeline traces: text view or Chrome/"
@@ -1121,7 +991,11 @@ def main(argv=None) -> int:
                             "strictly cheaper than the cheapest "
                             "xy-feasible configuration ('run' only; "
                             "the CI synth-smoke gate)")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "scenario" and args.action == "run" \
             and not args.name:
@@ -1129,9 +1003,8 @@ def main(argv=None) -> int:
                      "(see: scenario list)")
     handlers = {"report": cmd_report, "contract": cmd_contract,
                 "simulate": cmd_simulate, "scenario": cmd_scenario,
-                "bench": cmd_bench, "trace": cmd_trace,
-                "profile": cmd_profile, "alloc": cmd_alloc,
-                "synth": cmd_synth}
+                "trace": cmd_trace, "profile": cmd_profile,
+                "alloc": cmd_alloc, "synth": cmd_synth}
     return handlers[args.command](args)
 
 

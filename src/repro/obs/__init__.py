@@ -1,8 +1,8 @@
 """Observability layer: metrics registry, trace export, kernel profiling.
 
 Three coordinated windows into a run, all opt-in and all zero-cost when
-off (the default — golden fingerprints and events/sec are pinned
-byte-identical with observability disabled):
+off (the default — golden fingerprints are pinned byte-identical with
+observability disabled):
 
 * :mod:`repro.obs.metrics` — read-only counter/gauge probes over a built
   network, snapshotted into a JSON-safe ``MetricsSnapshot`` at run end

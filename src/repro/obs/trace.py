@@ -133,11 +133,6 @@ class ChromeTraceSink:
         return json.dumps(self.to_payload(), sort_keys=True,
                           separators=(",", ":"))
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
 
 def parse_filters(specs: Iterable[str]) -> Dict[str, List[str]]:
     """Parse repeated ``--filter field=value`` flags (fields: ``source``,

@@ -2,8 +2,8 @@
 
 The conformance matrix (``python -m repro scenario matrix``) grew to
 ~37 registry cells x 6 backends x 3 allocators, all driven by one
-sequential loop.  This module is the parallel executor behind
-``--jobs N`` and ``python -m repro bench record``:
+sequential loop.  This module is the parallel executor behind its
+``--jobs N``:
 
 * a :class:`FleetCell` names one (scenario, backend, allocator,
   topology, smoke, mode) matrix cell as plain JSON-safe data, so any
@@ -36,7 +36,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -44,7 +43,6 @@ from typing import Any, Dict, List, Optional, Sequence
 __all__ = [
     "CellOutcome",
     "FleetCell",
-    "cell_id",
     "code_fingerprint",
     "run_cell",
     "run_fleet",
@@ -94,28 +92,6 @@ class FleetCell:
         return spec
 
 
-def cell_id(cell: FleetCell) -> str:
-    """Stable human-readable id, unique across a cross-product fleet
-    (``BENCH_*.json`` cell key): the scenario name, qualified with any
-    non-default axis, e.g. ``be-uniform-4x4[backend=tdm]``."""
-    axes = []
-    if cell.backend:
-        axes.append(f"backend={cell.backend}")
-    if cell.allocator != "xy":
-        axes.append(f"allocator={cell.allocator}")
-    if cell.topology:
-        axes.append(f"topology={cell.topology}")
-    if not cell.smoke:
-        axes.append("full")
-    if cell.mode != "event":
-        axes.append(f"mode={cell.mode}")
-    if cell.metrics:
-        axes.append("metrics")
-    if not axes:
-        return cell.name
-    return f"{cell.name}[{','.join(axes)}]"
-
-
 @dataclass
 class CellOutcome:
     """What happened to one cell.
@@ -124,18 +100,8 @@ class CellOutcome:
     :meth:`~repro.scenarios.runner.ScenarioResult.to_dict` payload and
     ``failures`` the verdict problems), ``"skip"`` (capability-gated:
     ``reason`` names the incompatibility) or ``"error"`` (``reason`` is
-    the exception, ``traceback`` the full trace).  ``wall_s`` covers
-    build + run inside the worker; ``cached`` marks outcomes served
-    from the result cache instead of a fresh run.
-
-    ``started_at`` / ``ended_at`` are ``time.monotonic()`` stamps taken
-    inside the worker.  ``CLOCK_MONOTONIC`` is system-wide, so stamps
-    from different worker processes of one fleet run are directly
-    comparable — the bench layer uses them to compute each cell's mean
-    worker contention (how many cells ran concurrently with it), which
-    contextualises events/sec recorded at ``--jobs > 1``.  They are
-    meaningless across runs, so cached outcomes are excluded from
-    contention math.
+    the exception, ``traceback`` the full trace).  ``cached`` marks
+    outcomes served from the result cache instead of a fresh run.
     """
 
     cell: FleetCell
@@ -144,9 +110,6 @@ class CellOutcome:
     failures: List[str] = field(default_factory=list)
     reason: str = ""
     traceback: str = ""
-    wall_s: float = 0.0
-    started_at: float = 0.0
-    ended_at: float = 0.0
     cached: bool = False
 
     @property
@@ -173,9 +136,6 @@ class CellOutcome:
             "failures": list(self.failures),
             "reason": self.reason,
             "traceback": self.traceback,
-            "wall_s": self.wall_s,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
         }
 
     @classmethod
@@ -198,15 +158,6 @@ def run_cell(cell: FleetCell) -> CellOutcome:
     from ..backends import BackendCapabilityError
     from .runner import ScenarioRunner
 
-    start = time.perf_counter()
-    started_at = time.monotonic()
-
-    def done(outcome: CellOutcome) -> CellOutcome:
-        outcome.wall_s = time.perf_counter() - start
-        outcome.started_at = started_at
-        outcome.ended_at = time.monotonic()
-        return outcome
-
     try:
         spec = cell.resolve_spec()
         obs = None
@@ -217,13 +168,13 @@ def run_cell(cell: FleetCell) -> CellOutcome:
                                 allocator=cell.allocator, obs=obs)
         result = runner.run(mode=cell.mode)
     except BackendCapabilityError as error:
-        return done(CellOutcome(cell, "skip", reason=str(error)))
+        return CellOutcome(cell, "skip", reason=str(error))
     except Exception as error:
-        return done(CellOutcome(cell, "error",
-                                reason=f"{type(error).__name__}: {error}",
-                                traceback=traceback.format_exc()))
-    return done(CellOutcome(cell, "ok", result=result.to_dict(),
-                            failures=result.failures()))
+        return CellOutcome(cell, "error",
+                           reason=f"{type(error).__name__}: {error}",
+                           traceback=traceback.format_exc())
+    return CellOutcome(cell, "ok", result=result.to_dict(),
+                       failures=result.failures())
 
 
 def _worker(cell_data: Dict[str, Any]) -> Dict[str, Any]:

@@ -34,8 +34,9 @@ Hot-path design notes (the kernel dominates large-mesh runtime):
   entries, synchronous :func:`fire` deliveries, inline consumptions of
   already-processed events, and wire hops condensed away by link-segment
   batching (``repro.backends.graphnet``).  All four were heap
-  round-trips in the seed kernel; counting them keeps events/sec
-  comparable as optimisations move work off the heap.
+  round-trips in the seed kernel.  The count is informational: speed
+  is measured in flit hops and simulated ns per wall-second
+  (``benchmarks/perf/``).
 """
 
 from __future__ import annotations

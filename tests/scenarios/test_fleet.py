@@ -15,8 +15,8 @@ import pytest
 
 from repro.scenarios import registry
 from repro.scenarios.fleet import (CellOutcome, FleetCell, FleetCache,
-                                   cache_key, cell_id, code_fingerprint,
-                                   run_cell, run_fleet)
+                                   cache_key, code_fingerprint, run_cell,
+                                   run_fleet)
 from repro.scenarios.golden import SMOKE_FINGERPRINTS
 
 #: Cheap, diverse subset for the parallel determinism check: mesh BE,
@@ -34,8 +34,12 @@ class TestRunCell:
         assert outcome.passed
         assert outcome.fingerprint == SMOKE_FINGERPRINTS["be-uniform-4x4"]
         assert outcome.result["wall_s"] > 0
-        assert outcome.wall_s >= outcome.result["wall_s"]
         assert outcome.failures == []
+
+    def test_metrics_cell_carries_a_snapshot(self):
+        outcome = run_cell(FleetCell(name="be-uniform-4x4", metrics=True))
+        assert outcome.status == "ok"
+        assert outcome.result["metrics"]["counters"]
 
     def test_capability_gap_is_skip_not_error(self):
         outcome = run_cell(FleetCell(name="gs-churn-8x8", backend="tdm"))
@@ -72,17 +76,6 @@ class TestRunCell:
 
 
 class TestCellIdentity:
-    def test_default_cell_id_is_the_name(self):
-        assert cell_id(FleetCell(name="be-uniform-4x4")) == "be-uniform-4x4"
-
-    def test_non_default_axes_qualify_the_id(self):
-        cell = FleetCell(name="be-uniform-4x4", backend="tdm",
-                         allocator="min-adaptive", topology="ring",
-                         smoke=False)
-        assert cell_id(cell) == ("be-uniform-4x4[backend=tdm,"
-                                 "allocator=min-adaptive,topology=ring,"
-                                 "full]")
-
     def test_cache_key_distinguishes_every_axis(self):
         code = code_fingerprint()
         base = FleetCell(name="be-uniform-4x4")
@@ -92,6 +85,7 @@ class TestCellIdentity:
                     FleetCell(name="be-uniform-4x4", topology="ring"),
                     FleetCell(name="be-uniform-4x4", smoke=False),
                     FleetCell(name="be-uniform-4x4", mode="batch"),
+                    FleetCell(name="be-uniform-4x4", metrics=True),
                     FleetCell(name="gs-cbr-4x4-uniform")]
         keys = {cache_key(cell, code) for cell in [base] + variants}
         assert len(keys) == len(variants) + 1
@@ -112,6 +106,32 @@ class TestFleetCache:
         assert not first[0].cached and second[0].cached
         assert second[0].fingerprint == first[0].fingerprint
         assert second[0].verdict == first[0].verdict
+
+    def test_cached_replay_is_the_stored_outcome(self, tmp_path):
+        """Outcomes carry no per-run stamps, so a replay is the fresh
+        outcome's data exactly; only ``cached`` tells them apart."""
+        cells = [FleetCell(name="be-uniform-4x4"),
+                 FleetCell(name="gs-churn-8x8", backend="tdm")]
+        first = run_fleet(cells, cache_dir=str(tmp_path))
+        second = run_fleet(cells, cache_dir=str(tmp_path))
+        assert all(outcome.cached for outcome in second)
+        assert [o.to_dict() for o in second] == \
+            [json.loads(json.dumps(o.to_dict())) for o in first]
+
+    def test_entry_from_another_schema_is_a_miss(self, tmp_path):
+        """An entry carrying a field outcomes no longer have (one written
+        by an older outcome schema) is stale: rerun, then re-publish in
+        the current shape."""
+        cells = [FleetCell(name="be-uniform-4x4")]
+        run_fleet(cells, cache_dir=str(tmp_path))
+        path = tmp_path / (cache_key(cells[0], code_fingerprint()) + ".json")
+        entry = json.loads(path.read_text())
+        entry["retired_field"] = 0.5
+        path.write_text(json.dumps(entry))
+        rerun = run_fleet(cells, cache_dir=str(tmp_path))[0]
+        assert rerun.status == "ok" and not rerun.cached
+        assert "retired_field" not in json.loads(path.read_text())
+        assert run_fleet(cells, cache_dir=str(tmp_path))[0].cached
 
     def test_skips_are_cached_errors_are_not(self, tmp_path, monkeypatch):
         skip_cell = FleetCell(name="gs-churn-8x8", backend="tdm")

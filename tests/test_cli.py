@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -34,6 +36,24 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_removed_bench_command_exits_two(self, capsys):
+        """Simulator speed is measured by ``benchmarks/perf/`` alone;
+        the old events/sec trajectory command is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "record", "--smoke"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_module_docstring_lists_every_command(self):
+        import argparse
+
+        import repro.__main__ as cli
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)
+                        ).choices
+        documented = re.findall(r"^\* ``([a-z]+)``", cli.__doc__, re.M)
+        assert documented == list(commands)
 
 
 class TestScenarioCli:
@@ -211,6 +231,18 @@ class TestMatrixExitCodes:
         assert "FAIL be-uniform-4x4" in out
         assert "lost" in out
 
+    def test_golden_drift_exits_one(self, monkeypatch, capsys):
+        """A passing verdict with a drifted fingerprint still fails the
+        smoke matrix: the goldens pin behaviour, not just verdicts."""
+        from repro.scenarios.golden import SMOKE_FINGERPRINTS
+        monkeypatch.setitem(SMOKE_FINGERPRINTS, "be-uniform-4x4", "0" * 16)
+        assert main(["scenario", "matrix", "--smoke",
+                     "--names", "be-uniform-4x4"]) == 1
+        out = capsys.readouterr().out
+        assert "!= golden" in out
+        assert "FAIL be-uniform-4x4" in out
+        assert "0/1 scenarios passed" in out
+
     def test_error_cell_renders_row_and_keeps_partial_table(
             self, monkeypatch, capsys):
         """A crashing cell must not abort the matrix mid-loop: the
@@ -285,93 +317,6 @@ class TestFleetCli:
     def test_nonpositive_jobs_refused(self, capsys):
         assert main(["scenario", "matrix", "--smoke", "--jobs", "0"]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
-
-
-class TestBenchCli:
-    def test_record_writes_schema_checked_file(self, tmp_path, capsys):
-        assert main(["bench", "record", "--smoke",
-                     "--names", "be-uniform-4x4,gs-cbr-4x4-uniform",
-                     "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "recorded 2 cells" in out and "2 passed" in out
-        from repro.bench import load_bench
-        files = list(tmp_path.glob("BENCH_*.json"))
-        assert len(files) == 1
-        payload = load_bench(str(files[0]))
-        cell = payload["cells"]["be-uniform-4x4"]
-        assert cell["verdict"] == "PASS"
-        assert cell["events_per_s"] > 0
-
-    def test_record_all_skip_exits_three(self, tmp_path, capsys):
-        assert main(["bench", "record", "--smoke", "--backend", "tdm",
-                     "--names", "gs-churn-8x8",
-                     "--out", str(tmp_path)]) == 3
-        assert "nothing ran" in capsys.readouterr().err
-
-    def test_compare_same_file_passes(self, tmp_path, capsys):
-        assert main(["bench", "record", "--smoke",
-                     "--names", "be-uniform-4x4",
-                     "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        path = str(next(tmp_path.glob("BENCH_*.json")))
-        assert main(["bench", "compare", "--against", path,
-                     "--current", path]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_compare_flags_injected_regression(self, tmp_path, capsys):
-        import json
-        assert main(["bench", "record", "--smoke",
-                     "--names", "be-uniform-4x4",
-                     "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        path = next(tmp_path.glob("BENCH_*.json"))
-        doctored = json.loads(path.read_text())
-        doctored["cells"]["be-uniform-4x4"]["events_per_s"] *= 0.01
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(doctored))
-        assert main(["bench", "compare", "--against", str(path),
-                     "--current", str(slow)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out and "events/s" in out
-        # A wide-open tolerance absorbs it again.
-        assert main(["bench", "compare", "--against", str(path),
-                     "--current", str(slow), "--tolerance", "0.999"]) == 0
-
-    def test_compare_needs_against(self, capsys):
-        assert main(["bench", "compare"]) == 2
-        assert "--against" in capsys.readouterr().err
-
-    def test_compare_rejects_bad_baseline(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        assert main(["bench", "compare", "--against", str(bad)]) == 2
-        assert "cannot load baseline" in capsys.readouterr().err
-        assert main(["bench", "compare",
-                     "--against", str(tmp_path / "missing.json")]) == 2
-
-    def test_compare_rejects_bad_tolerance(self, tmp_path, capsys):
-        bad = tmp_path / "irrelevant.json"
-        bad.write_text("{}")
-        assert main(["bench", "compare", "--against", str(bad),
-                     "--tolerance", "1.5"]) == 2
-        assert "--tolerance" in capsys.readouterr().err
-
-    def test_record_refuses_compare_flags(self, tmp_path, capsys):
-        assert main(["bench", "record", "--against", "x.json"]) == 2
-        assert "only applies to 'compare'" in capsys.readouterr().err
-        assert main(["bench", "record", "--tolerance", "0.5"]) == 2
-        assert main(["bench", "record", "--current", "x.json"]) == 2
-
-    def test_compare_refuses_out(self, tmp_path, capsys):
-        assert main(["bench", "compare", "--against", "x.json",
-                     "--out", str(tmp_path)]) == 2
-        assert "only applies to 'record'" in capsys.readouterr().err
-
-    def test_record_unknown_names_fail_cleanly(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "record", "--names", "typo",
-                  "--out", str(tmp_path)])
-        assert "unknown scenario" in capsys.readouterr().err
 
 
 class TestAllocatorFlag:
@@ -675,6 +620,15 @@ class TestObservabilityCli:
         assert "counters" in out
         assert "Top metrics counters" in out
 
+    def test_scenario_matrix_metrics_keeps_goldens(self, capsys):
+        """Probes observe, never steer: with ``--metrics`` every cell
+        still reproduces its golden fingerprint."""
+        assert main(["scenario", "matrix", "--smoke", "--metrics",
+                     "--names", "be-uniform-4x4,ring-cbr-8x8"]) == 0
+        out = capsys.readouterr().out
+        assert "2/2 scenarios passed" in out
+        assert "golden" not in out
+
     def test_scenario_metrics_refused_for_list(self, capsys):
         assert main(["scenario", "list", "--metrics"]) == 2
         assert "--metrics" in capsys.readouterr().err
@@ -732,24 +686,65 @@ class TestObservabilityCli:
         assert "--top" in capsys.readouterr().err
 
 
-class TestBenchReportCli:
-    def test_report_needs_files(self, capsys):
-        assert main(["bench", "report"]) == 2
-        assert "BENCH_*.json" in capsys.readouterr().err
 
-    def test_record_refuses_positional_files(self, capsys):
-        assert main(["bench", "record", "x.json"]) == 2
-        assert "report" in capsys.readouterr().err
+class TestFrontDoor:
+    """A malformed or misplaced flag exits 2 with one stderr line naming
+    the flag: never a traceback, never silently wrong output.  ``{file}``
+    is an existing regular file and ``{missing}`` a path in a directory
+    that does not exist."""
 
-    def test_report_round_trip(self, tmp_path, capsys):
-        assert main(["bench", "record", "--smoke",
-                     "--names", "be-uniform-4x4",
-                     "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        recorded = sorted(tmp_path.glob("BENCH_*.json"))
-        out_md = tmp_path / "report.md"
-        assert main(["bench", "report", str(recorded[0]),
-                     "--out", str(out_md)]) == 0
-        text = out_md.read_text()
-        assert text.startswith("# Bench trajectory")
-        assert "be-uniform-4x4" in text
+    TRACE = ["trace", "run", "be-uniform-4x4"]
+    RUN = ["scenario", "run", "be-uniform-4x4", "--smoke"]
+    MATRIX = ["scenario", "matrix", "--smoke"]
+    CASES = [
+        (["contract", "--hops", "0"], "--hops"),
+        (["simulate", "--cols", "0"], "--cols"),
+        (["simulate", "--rows", "0"], "--rows"),
+        (["simulate", "--cols", "1", "--rows", "1"], "--cols/--rows"),
+        (["simulate", "--cols", "122", "--rows", "1"], "--cols/--rows"),
+        (["simulate", "--flits", "-1"], "--flits"),
+        (["simulate", "--horizon", "-5"], "--horizon"),
+        (["simulate", "--horizon", "nan"], "--horizon"),
+        (TRACE + ["--max-records", "-5"], "--max-records"),
+        (TRACE + ["--max-records", "0"], "--max-records"),
+        (TRACE + ["--limit", "-1"], "--limit"),
+        (TRACE + ["--limit", "0"], "--limit"),
+        (TRACE + ["--out", "{missing}"], "--out"),
+        (RUN + ["--metrics", "--metrics-sample-ns", "nan"],
+         "--metrics-sample-ns"),
+        (RUN + ["--metrics", "--metrics-sample-ns", "-1"],
+         "--metrics-sample-ns"),
+        (RUN + ["--names", "gs-cbr-4x4-uniform"], "--names"),
+        (RUN + ["--update-golden"], "--update-golden"),
+        (MATRIX + ["--names", ","], "--names"),
+        (MATRIX + ["--names", ""], "--names"),
+        (MATRIX + ["--names", "be-uniform-4x4", "--cache-dir", "{file}"],
+         "--cache-dir"),
+        (["alloc", "demand-set", "greedy-trap-3x3", "--out", "{missing}"],
+         "--out"),
+        (["alloc", "report", "--demands", "{missing}"], "--demands"),
+        (["synth", "run", "--budget", "0"], "--budget"),
+        (["synth", "frontier", "--points", "0"], "--points"),
+        (["synth", "run", "--families", "ring,torus"], "--families"),
+        (["synth", "run", "--demands", "{missing}"], "--demands"),
+        (["synth", "run", "--demand-set", "greedy-trap-3x3", "--families",
+          "mesh", "--out", "{missing}"], "--out"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", CASES,
+                             ids=[" ".join(arg or "''" for arg in argv)
+                                  for argv, _ in CASES])
+    def test_bad_value_exits_two_naming_the_flag(self, argv, flag,
+                                                 tmp_path, capsys):
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        paths = {"{file}": str(a_file),
+                 "{missing}": str(tmp_path / "no-such-dir" / "out.json")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # what ``python -m repro`` exits with
+            code = stop.code
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(flag), lines
