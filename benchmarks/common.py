@@ -20,8 +20,8 @@ RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 _run_header_written = False
 
 
-def run_scenario(name: str, smoke: bool = False, mode: str = "event",
-                 config=None, backend=None, topology=None):
+def run_scenario(name: str, smoke: bool = False, config=None,
+                 backend=None, topology=None):
     """Run one registry scenario through the :class:`ScenarioRunner`.
 
     The single entry point benchmarks use for workload construction —
@@ -42,7 +42,7 @@ def run_scenario(name: str, smoke: bool = False, mode: str = "event",
         spec = dataclasses.replace(spec, topology=topology)
     if smoke:
         spec = spec.smoke()
-    return ScenarioRunner(spec, config=config, backend=backend).run(mode=mode)
+    return ScenarioRunner(spec, config=config, backend=backend).run()
 
 
 def record(experiment_id: str, title: str, body: str) -> None:

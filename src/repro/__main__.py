@@ -210,7 +210,7 @@ def cmd_scenario(args) -> int:
                             metrics_sample_ns=args.metrics_sample_ns)
         runner = ScenarioRunner(spec, backend=backend,
                                 allocator=args.allocator, obs=obs)
-        return runner.run(mode=args.mode)
+        return runner.run()
 
     def resolve(requested):
         """Fail fast (and cleanly) on typos, before any scenario runs."""
@@ -233,7 +233,6 @@ def cmd_scenario(args) -> int:
         table = Table(["metric", "value"],
                       title=f"Scenario {result.name} "
                             f"({'smoke' if smoke else 'full'}, "
-                            f"{args.mode} drive, "
                             f"backend {result.backend})")
         table.add_row("mesh", f"{result.cols}x{result.rows}")
         if result.topology != "mesh":
@@ -355,14 +354,14 @@ def cmd_scenario(args) -> int:
     from .scenarios.fleet import FleetCell, run_fleet
     cells = [FleetCell(name=name, backend=args.backend,
                        allocator=args.allocator, topology=args.topology,
-                       smoke=smoke, mode=args.mode, metrics=args.metrics)
+                       smoke=smoke, metrics=args.metrics)
              for name in selected]
     outcomes = run_fleet(cells, jobs=args.jobs, cache_dir=args.cache_dir)
     table = Table(["scenario", "mesh", "BE recv/sent", "GS ok",
                    "p99 ns", "fingerprint", "verdict"],
                   title=f"QoS conformance matrix "
                         f"({'smoke' if smoke else 'full'} duration, "
-                        f"{args.mode} drive, backend {backend_label})")
+                        f"backend {backend_label})")
     failed = []
     skipped = 0
     errored = 0
@@ -842,9 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="scenario name (for 'run')")
     scenario.add_argument("--smoke", action="store_true",
                           help="CI-sized durations (capped slots/flits)")
-    scenario.add_argument("--mode", choices=("event", "batch"),
-                          default="event",
-                          help="kernel drive style (fingerprints match)")
     from .backends import backend_names
     scenario.add_argument("--backend", choices=backend_names(),
                           default=None,

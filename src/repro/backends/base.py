@@ -28,8 +28,7 @@ attribute / method        used by
 ``sim``                   source processes, collectors, drive loops
 ``mesh``                  spatial patterns, per-tile workload construction
 ``config``                verdict slack, QoS contracts
-``now`` / ``run`` /       the runner's event/batch drive modes
-``run_batch``
+``now`` / ``run``         the runner's drive loop
 ``links``                 ``{(Coord, Direction): obj}`` with ``.gs_flits`` /
                           ``.be_flits`` — flit-hop totals and fingerprints
 ``adapters``              ``{Coord: obj}`` with ``.be_inbox`` (a Store of

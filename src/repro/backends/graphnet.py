@@ -64,13 +64,13 @@ _EPS = 1e-9
 
 
 def _trace_tag(flit) -> str:
-    """Run-relative flit label for trace records (never the process-global
-    flit/packet counters, so repeated runs export identical bytes)."""
+    """Run-relative flit label for trace records: ``c<connection>.<payload>``
+    for a GS flit, ``p<packet>`` for every flit of a BE packet (ids come
+    from the network's own counter, so repeated runs export identical
+    bytes)."""
     if flit.kind == "gs":
         return f"c{flit.connection_id}.{flit.payload}"
-    packet = flit.packet
-    pid = packet.packet_id if packet is not None else -1
-    return f"p{pid}.{flit.payload}"
+    return f"p{flit.packet.packet_id}"
 
 
 class LinkCounters:
@@ -197,7 +197,7 @@ class BaseGraphNetwork:
     implement the transport: :meth:`_inject_gs` (queue a GS flit at the
     source) and :meth:`_inject_be` (sub-generator injecting one BE
     packet's flits).  Everything the runner drives or measures —
-    ``run``/``run_batch``/``now``, the ``links`` counter map keyed on
+    ``run``/``now``, the ``links`` counter map keyed on
     graph links, adapters, the connection registry — is provided here.
     """
 
@@ -256,10 +256,6 @@ class BaseGraphNetwork:
 
     def run(self, until: float) -> None:
         self.sim.run(until=until)
-
-    def run_batch(self, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> int:
-        return self.sim.run_batch(until=until, max_events=max_events)
 
     @property
     def events_processed(self) -> int:

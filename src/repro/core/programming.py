@@ -238,7 +238,8 @@ class ProgrammingInterface:
     def _send_ack(self, command: ConfigCommand) -> None:
         words = pack_command(OP_ACK, command.seq)
         flits = make_be_packet(command.ack_route, words,
-                               inject_time=self.sim.now)
+                               inject_time=self.sim.now,
+                               packet_id=next(self.router.packet_ids))
         self.sim.process(self.router.inject_local_be(flits),
                          name=f"{self.name}.ack{command.seq}")
         self.acks_sent += 1

@@ -11,7 +11,8 @@ and vice versa.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+import itertools
+from typing import Dict, Generator, Iterator, List, Optional
 
 from ..network.packet import BeFlit, BePacket, GsFlit, Steering
 from ..network.topology import Coord, Direction, NETWORK_DIRECTIONS
@@ -35,11 +36,16 @@ class MangoRouter:
 
     def __init__(self, sim: Simulator, config: RouterConfig,
                  coord: Coord = Coord(0, 0),
-                 tracer: Tracer = NULL_TRACER):
+                 tracer: Tracer = NULL_TRACER,
+                 packet_ids: Optional[Iterator[int]] = None):
         self.sim = sim
         self.config = config
         self.coord = coord
         self.tracer = tracer
+        # BE packet ids, shared by every router and NA of one network so
+        # each packet's trace key ``p<id>`` is unique within a run.
+        self.packet_ids = (itertools.count(1) if packet_ids is None
+                           else packet_ids)
         self.name = f"R{coord.x}.{coord.y}"
         self.counters = ActivityCounters()
 
@@ -116,11 +122,16 @@ class MangoRouter:
 
     def inject_local_be(self, flits: List[BeFlit]
                         ) -> Generator:
-        """Inject one whole BE packet at the local port (used by the NA and
-        by the programming interface for acks).  Packets are serialized so
-        wormhole flits never interleave."""
+        """Inject one whole BE packet at the local port (the programming
+        interface's acks; the NA holds the port itself).  Packets are
+        serialized so wormhole flits never interleave."""
         yield self._local_be_lock.request()
         try:
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.sim.now, self.name, "inject",
+                    flit=f"p{flits[0].packet_id}", cls="be",
+                    dur_ns=self.config.timing.link_cycle_ns * len(flits))
             yield from self._inject_local_be_flits(flits)
         finally:
             self._local_be_lock.release()
@@ -176,6 +187,7 @@ class MangoRouter:
         if words and is_router_command(words[0]):
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self.name, "config_packet",
+                                 flit=f"p{flits[0].packet_id}",
                                  words=len(words))
             self.programming.execute(words)
             return
@@ -184,10 +196,8 @@ class MangoRouter:
                           inject_time=flits[0].inject_time,
                           arrive_time=self.sim.now)
         if self.tracer.enabled:
-            # Tagged like the head flit's hop records (vc + header word),
-            # not the process-global packet_id (see gs_switch above).
             self.tracer.emit(self.sim.now, self.name, "be_delivered",
-                             flit=f"be{flits[0].vc}.{header}",
+                             flit=f"p{packet.packet_id}",
                              flits=packet.n_flits)
         if not self.local_be_rx.try_put(packet):  # pragma: no cover
             raise RuntimeError("unbounded store refused a put")

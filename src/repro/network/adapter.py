@@ -240,15 +240,17 @@ class NetworkAdapter:
             chosen = self._pick_be_vc(dst) if vc == "adaptive" else vc
             flits = make_be_packet(header, words, vc=chosen,
                                    inject_time=self.sim.now,
-                                   src=self.coord)
+                                   src=self.coord,
+                                   packet_id=next(self.router.packet_ids))
             self.be_packets_sent += 1
             tracer = self.router.tracer
             if tracer.enabled:
-                # Tagged like the downstream hop/delivery records
-                # (vc + header word, never the global packet_id).
+                # Every record of this packet carries the same
+                # run-relative key, from inject through each hop to the
+                # eject (or the config_packet of a programming packet).
                 cycle_ns = self.router.config.timing.link_cycle_ns
                 tracer.emit(self.sim.now, self.name, "inject",
-                            flit=f"be{chosen}.{header}", cls="be",
+                            flit=f"p{flits[0].packet_id}", cls="be",
                             dur_ns=cycle_ns * len(flits))
             yield from self.router._inject_local_be_flits(flits)
         finally:
@@ -287,7 +289,7 @@ class NetworkAdapter:
             tracer = self.router.tracer
             if tracer.enabled:
                 tracer.emit(self.sim.now, self.name, "eject",
-                            flit=f"be.{packet.header}",
+                            flit=f"p{packet.packet_id}",
                             flits=packet.n_flits)
             words = packet.words
             if words and is_config_word(words[0]) \

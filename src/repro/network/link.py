@@ -98,7 +98,7 @@ class Link:
         self.be_flits += 1
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, self.label, "hop",
-                             flit=f"be{flit.vc}.{flit.word}", cls="be",
+                             flit=f"p{flit.packet_id}", cls="be",
                              dur_ns=self.forward_be_ns)
         self.sim.defer(self.forward_be_ns, self._deliver_be, self.in_dir,
                        flit)

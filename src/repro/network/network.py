@@ -7,6 +7,7 @@ simulation, and collect aggregate statistics.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..core.config import RouterConfig
@@ -45,9 +46,13 @@ class MangoNetwork:
         self.tracer = NULL_TRACER if tracer is None else tracer
         clocks = clocks or {}
 
+        # One BE packet-id counter per network: trace keys ``p<id>`` are
+        # run-relative, so repeated runs in one process export the same
+        # bytes.
+        packet_ids = itertools.count(1)
         self.routers: Dict[Coord, MangoRouter] = {
             coord: MangoRouter(self.sim, self.config, coord,
-                               tracer=self.tracer)
+                               tracer=self.tracer, packet_ids=packet_ids)
             for coord in self.mesh.tiles()
         }
         self.links: Dict[Tuple[Coord, Direction], Link] = {}
@@ -85,17 +90,6 @@ class MangoNetwork:
     def run(self, until: float) -> None:
         """Advance simulated time to ``until`` (nanoseconds)."""
         self.sim.run(until=until)
-
-    def run_batch(self, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> int:
-        """Dispatch up to ``max_events`` kernel events due by ``until``;
-        returns how many ran (0 when idle).  Lets callers pump the
-        simulation in slices and interleave host-side work::
-
-            while net.run_batch(deadline, max_events=50_000):
-                progress_bar.update(net.now)
-        """
-        return self.sim.run_batch(until=until, max_events=max_events)
 
     @property
     def events_processed(self) -> int:

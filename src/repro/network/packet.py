@@ -199,7 +199,8 @@ class BePacket:
 
 def make_be_packet(header: Union[int, Sequence[int]], words: List[int],
                    vc: int = 0, inject_time: float = -1.0,
-                   src: Optional[Coord] = None) -> List[BeFlit]:
+                   src: Optional[Coord] = None,
+                   packet_id: Optional[int] = None) -> List[BeFlit]:
     """Build the flit sequence of a variable-length BE packet.
 
     ``header`` is a single 32-bit route word or a chained route-word
@@ -207,10 +208,15 @@ def make_be_packet(header: Union[int, Sequence[int]], words: List[int],
     as header-extension flits directly behind the header.  The control
     bit marks the last flit.  An empty payload is legal (the final
     header word is then also the tail).
+
+    ``packet_id`` tags every flit; a network passes its own run-relative
+    id (the key its trace records carry), and a standalone caller that
+    passes none gets a fresh one from a process-global counter.
     """
     route_words = as_route_words(header)
     extensions = route_words[1:]
-    packet_id = next(_packet_ids)
+    if packet_id is None:
+        packet_id = next(_packet_ids)
     flits = [BeFlit(route_words[0], is_head=True,
                     is_tail=not (words or extensions), vc=vc,
                     packet_id=packet_id, inject_time=inject_time,

@@ -54,30 +54,13 @@ class ObsConfig:
 
     ``metrics`` registers the standard probe set at build time and
     snapshots it at run end; ``metrics_sample_ns`` additionally samples
-    gauge high-water marks on that cadence.  ``tracer`` is attached to
-    the network (routers and links emit through it); ``profile`` is
-    handed to the ``Simulator``.
+    gauge high-water marks on that cadence (refused for a scenario with
+    no driving process, whose run would never end).  ``tracer`` is
+    attached to the network (routers and links emit through it);
+    ``profile`` is handed to the ``Simulator``.
     """
 
     metrics: bool = False
     metrics_sample_ns: Optional[float] = None
     tracer: Optional[Tracer] = None
     profile: Optional[CallSiteProfiler] = None
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.metrics or self.tracer is not None
-                    or self.profile is not None)
-
-    @property
-    def mode(self) -> str:
-        """Short label embedded in BENCH headers (``"off"`` or a
-        ``+``-joined subset of ``metrics``/``trace``/``profile``)."""
-        parts = []
-        if self.metrics:
-            parts.append("metrics")
-        if self.tracer is not None:
-            parts.append("trace")
-        if self.profile is not None:
-            parts.append("profile")
-        return "+".join(parts) if parts else "off"

@@ -13,8 +13,10 @@ no branch runs).
 Gauges (occupancies, queue depths) are instantaneous, so the registry
 can additionally *sample* them on a cadence: ``sample_ns`` starts a tiny
 kernel process that reads every gauge each period and tracks the
-high-water mark.  The sampler stops at ``horizon_ns`` (the scenario's
-``max_ns``) so batch-drive loops that drain the queue still terminate.
+high-water mark.  The sampler never stops by itself, so the run that
+hosts it must be bounded by something else: the scenario runner only
+allows it beside a driving process, whose run ends at ``max_ns`` plus
+the drain.
 
 :func:`instrument_network` wires the standard probe set for any of the
 repo's network types by duck-typing — mango routers, the fair-share
@@ -59,11 +61,9 @@ class MetricsRegistry:
     """Probes registered at construction, read at run end (and on the
     optional sampling cadence for gauge high-water marks)."""
 
-    def __init__(self, sim, sample_ns: Optional[float] = None,
-                 horizon_ns: Optional[float] = None):
+    def __init__(self, sim, sample_ns: Optional[float] = None):
         self.sim = sim
         self.sample_ns = sample_ns
-        self.horizon_ns = horizon_ns
         self._counters: List[Tuple[str, Callable[[], int]]] = []
         self._counter_groups: List[Tuple[str, Callable[[], Dict]]] = []
         self._gauges: List[Tuple[str, Callable[[], float]]] = []
@@ -92,8 +92,7 @@ class MetricsRegistry:
     # -- sampling ---------------------------------------------------------
 
     def _sampler(self):
-        while self.horizon_ns is None or \
-                self.sim.now + self.sample_ns <= self.horizon_ns:
+        while True:
             yield self.sim.timeout(self.sample_ns)
             self.sample()
 
@@ -233,11 +232,10 @@ def instrument_network(registry: MetricsRegistry, network) -> None:
         _instrument_fair_share(registry, network)
 
 
-def build_registry(network, sample_ns: Optional[float] = None,
-                   horizon_ns: Optional[float] = None) -> MetricsRegistry:
+def build_registry(network, sample_ns: Optional[float] = None
+                   ) -> MetricsRegistry:
     """Convenience: a registry over ``network.sim`` with the standard
     probe set already registered."""
-    registry = MetricsRegistry(network.sim, sample_ns=sample_ns,
-                               horizon_ns=horizon_ns)
+    registry = MetricsRegistry(network.sim, sample_ns=sample_ns)
     instrument_network(registry, network)
     return registry

@@ -14,10 +14,10 @@ The JSON written by :meth:`ChromeTraceSink.to_json` loads in
 ``chrome://tracing`` and Perfetto (each trace *source* — a link, an NA —
 becomes one named track) and is **byte-deterministic**: events are
 sorted by a total key and timestamps are rounded to femtosecond
-granularity, so the export is identical across ``run`` vs ``run_batch``
-driving and hop batching on/off.  Condensed hops re-expand to the cycle
-boundaries an unbatched run fires at, differing only by float ulps,
-which the rounding absorbs.  Batching does not keep the order of
+granularity, so the export is identical across the plain vs profiled
+drain loop and hop batching on/off.  Condensed hops re-expand to the
+cycle boundaries an unbatched run fires at, differing only by float
+ulps, which the rounding absorbs.  Batching does not keep the order of
 same-timestamp events (``docs/kernel.md``); the total sort absorbs that.
 
 The module also provides :func:`render_timeline` (the terminal view of a
@@ -109,7 +109,7 @@ class ChromeTraceSink:
                            "tid": tid, "args": {"name": source}})
         # Total order: time, then track, then a canonical serialization
         # as the final tiebreaker — emission order (which hop batching
-        # and run_batch slicing may permute) never leaks into the bytes.
+        # may permute) never leaks into the bytes.
         for ts, source, name, ph, dur, args in sorted(
                 self._events,
                 key=lambda ev: (ev[0], ev[1], ev[2], ev[3],

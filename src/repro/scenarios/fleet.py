@@ -6,7 +6,7 @@ sequential loop.  This module is the parallel executor behind its
 ``--jobs N``:
 
 * a :class:`FleetCell` names one (scenario, backend, allocator,
-  topology, smoke, mode) matrix cell as plain JSON-safe data, so any
+  topology, smoke, metrics) matrix cell as plain JSON-safe data, so any
   cross-product is a list comprehension away;
 * :func:`run_cell` executes one cell and captures the outcome — ``ok``
   with the full :class:`~repro.scenarios.runner.ScenarioResult` dict,
@@ -19,7 +19,7 @@ sequential loop.  This module is the parallel executor behind its
   so tables, golden checks and fingerprints are independent of
   completion order;
 * results can be cached per cell, keyed on ``(spec JSON, backend,
-  allocator, topology, mode, code fingerprint)`` — any source change
+  allocator, topology, metrics, code fingerprint)`` — any source change
   under ``repro/`` invalidates every entry — with straggler-safe
   ``flock`` + atomic-rename publishing in the cache directory.
 
@@ -65,7 +65,6 @@ class FleetCell:
     allocator: str = "xy"
     topology: Optional[str] = None
     smoke: bool = True
-    mode: str = "event"
     #: Collect the standard metrics probe set into the result payload
     #: (``scenario matrix --metrics``).  Probes are read-only, so the
     #: fingerprint is unchanged — but the axis is still part of the
@@ -166,7 +165,7 @@ def run_cell(cell: FleetCell) -> CellOutcome:
             obs = ObsConfig(metrics=True)
         runner = ScenarioRunner(spec, backend=cell.backend,
                                 allocator=cell.allocator, obs=obs)
-        result = runner.run(mode=cell.mode)
+        result = runner.run()
     except BackendCapabilityError as error:
         return CellOutcome(cell, "skip", reason=str(error))
     except Exception as error:
@@ -215,7 +214,6 @@ def cache_key(cell: FleetCell, code_fp: str) -> str:
         "backend": cell.backend,
         "allocator": cell.allocator,
         "topology": cell.topology,
-        "mode": cell.mode,
         "metrics": cell.metrics,
         "code": code_fp,
     }, sort_keys=True)

@@ -1,5 +1,5 @@
 """Golden flit-hop fingerprints of every registry scenario at smoke
-duration (event-mode drive, the spec's own ``retain_packets``).
+duration (observability off, the spec's own ``retain_packets``).
 
 ``SMOKE_FINGERPRINTS`` pins every cell on its *default* backend —
 ``mango`` for mesh cells, the fabric's own backend for ``ring``/
@@ -21,9 +21,10 @@ with identical injection timing move the same flits over the same links
 order (``generic-vc``'s packet-granular injection) diverge.
 
 The determinism tests assert these digests are reproduced bit-identically
-across hosts, across ``run`` vs ``run_batch`` driving, and across
-``retain_packets`` True/False — a changed digest means the simulated
-work itself changed, which must be a deliberate, reviewed event.
+across hosts, with full observability on (metrics, tracing, profiling),
+and across ``retain_packets`` True/False — a changed digest means the
+simulated work itself changed, which must be a deliberate, reviewed
+event.
 """
 
 from typing import Dict

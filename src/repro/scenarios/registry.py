@@ -483,7 +483,7 @@ register(ScenarioSpec(
 #
 # Full-duration soak cells stream ~10^8 scheduler events each with
 # ``retain_packets=False`` (the spec default), so memory stays bounded
-# and all statistics come from the streaming P^2 / WindowedRate
+# and all statistics come from the streaming Welford / P^2
 # estimators.  They are tagged ``slow`` (several minutes each at full
 # duration) and run in CI only at smoke profile; drive the real thing
 # with ``python -m repro scenario run soak-uniform-8x8``.  Calibration:

@@ -43,7 +43,7 @@ from ..traffic.patterns import (BitComplement, Hotspot, LocalUniform,
                                 NearestNeighbor, Pattern, Transpose,
                                 UniformRandom)
 from ..traffic.stats import P2Quantile, RunningStats, percentile
-from ..traffic.workload import UniformBeWorkload
+from ..traffic.workload import UniformBeWorkload, run_until_processes_done
 from .spec import BeTrafficSpec, ChurnSpec, FailureSpec, ScenarioSpec
 
 __all__ = [
@@ -228,7 +228,6 @@ class ScenarioResult:
     backend: str
     allocator: str
     topology: str
-    mode: str
     retain_packets: bool
     sim_ns: float
     wall_s: float
@@ -316,7 +315,6 @@ class ScenarioResult:
             "backend": self.backend,
             "allocator": self.allocator,
             "topology": self.topology,
-            "mode": self.mode,
             "retain_packets": self.retain_packets,
             "sim_ns": self.sim_ns,
             "wall_s": self.wall_s,
@@ -358,6 +356,16 @@ class ScenarioRunner:
         else:
             self.backend = get_backend(backend)
         self.backend.check_spec(spec)
+        if obs is not None and obs.metrics_sample_ns is not None \
+                and spec.be is None and spec.churn is None \
+                and all(gs.traffic == "preload" for gs in spec.gs):
+            # Nothing would bound the sampler: with no driving process
+            # the run ends when the heap drains, and the sampler keeps
+            # the heap alive.
+            raise ValueError(
+                f"metrics_sample_ns needs a driving process; scenario "
+                f"{spec.name!r} has no BE traffic, churn or paced GS "
+                "stream")
         self.spec = spec
         self.config = config
         self.retain_packets = (spec.retain_packets if retain_packets is None
@@ -426,8 +434,7 @@ class ScenarioRunner:
         if spec.be is not None:
             # Result-level quantiles need one stream over every sink:
             # the runner's own P² estimators ride along as collector
-            # observers (per-tile estimators stay untouched; the
-            # simulation never reads any of them).
+            # observers (the simulation never reads them).
             self._quantiles = {q: P2Quantile(q) for q in RESULT_QUANTILES}
             self.workload = UniformBeWorkload(
                 net, build_pattern(spec.be, net.mesh),
@@ -448,8 +455,7 @@ class ScenarioRunner:
             # process sit after every workload process — the relative
             # event order of the simulated work is untouched.
             self.metrics_registry = build_registry(
-                net, sample_ns=self.obs.metrics_sample_ns,
-                horizon_ns=spec.max_ns)
+                net, sample_ns=self.obs.metrics_sample_ns)
         return net
 
     def _schedule_failure(self, net: MangoNetwork,
@@ -478,18 +484,9 @@ class ScenarioRunner:
 
     # -- driving -----------------------------------------------------------
 
-    def run(self, mode: str = "event",
-            batch_events: int = 8192) -> ScenarioResult:
-        """Build (if needed) and drive the scenario to completion.
-
-        ``mode="event"`` waits on an ``AllOf`` over the source processes
-        (the fast default); ``mode="batch"`` pumps ``run_batch`` slices
-        of ``batch_events`` kernel events, the API callers use to
-        interleave host-side work.  Both must produce the same flit-hop
-        fingerprint — asserted by tests/scenarios/test_fingerprints.py.
-        """
-        if mode not in ("event", "batch"):
-            raise ValueError(f"unknown drive mode {mode!r}")
+    def run(self) -> ScenarioResult:
+        """Build (if needed) and drive the scenario to completion: run
+        until every source process has finished, then drain."""
         if self.network is None:
             self.build()
         net = self.network
@@ -505,32 +502,13 @@ class ScenarioRunner:
         start = time.perf_counter()
         try:
             if processes:
-                done = net.sim.all_of(processes)
-                if mode == "event":
-                    if not net.sim.run_until_triggered(done,
-                                                       max_ns=spec.max_ns):
-                        raise RuntimeError(
-                            f"scenario {spec.name!r} did not finish within "
-                            f"{spec.max_ns} ns (deadlock or overload)")
-                else:
-                    while not done.triggered:
-                        if net.run_batch(max_events=batch_events) == 0:
-                            raise RuntimeError(
-                                f"scenario {spec.name!r}: event heap "
-                                "drained before the sources finished")
-                        if net.now > spec.max_ns:
-                            raise RuntimeError(
-                                f"scenario {spec.name!r} did not finish "
-                                f"within {spec.max_ns} ns")
-                net.run(until=net.now + spec.drain_ns)
+                run_until_processes_done(net, processes,
+                                         drain_ns=spec.drain_ns,
+                                         max_ns=spec.max_ns)
             else:
                 # Preload-only scenarios have no driving processes: the
                 # heap drains by itself once all flits are delivered.
-                if mode == "event":
-                    net.sim.run()
-                else:
-                    while net.run_batch(max_events=batch_events):
-                        pass
+                net.sim.run()
         except Exception as error:
             if self._expected_error is not None and \
                     isinstance(error, self._expected_error):
@@ -539,7 +517,7 @@ class ScenarioRunner:
                 raise
         wall_s = time.perf_counter() - start
         events = net.sim.events_processed - events_before
-        return self._result(mode, events, wall_s, failure_detected)
+        return self._result(events, wall_s, failure_detected)
 
     # -- measurement -------------------------------------------------------
 
@@ -587,7 +565,7 @@ class ScenarioRunner:
             ))
         return verdicts
 
-    def _result(self, mode: str, events: int, wall_s: float,
+    def _result(self, events: int, wall_s: float,
                 failure_detected: bool) -> ScenarioResult:
         net = self.network
         spec = self.spec
@@ -611,7 +589,6 @@ class ScenarioRunner:
             backend=self.backend.name,
             allocator=self._allocator_name(),
             topology=spec.topology,
-            mode=mode,
             retain_packets=self.retain_packets,
             sim_ns=sim_ns,
             wall_s=wall_s,

@@ -17,8 +17,7 @@ from .patterns import (
     UniformRandom,
 )
 from .sinks import BeCollector, GsBandwidthProbe
-from .stats import (Histogram, P2Quantile, RateMeter, RunningStats,
-                    WindowedRate, percentile, trim_warmup)
+from .stats import Histogram, P2Quantile, RunningStats, percentile
 from .workload import UniformBeWorkload, run_until_processes_done
 
 __all__ = [
@@ -35,13 +34,10 @@ __all__ = [
     "P2Quantile",
     "Pattern",
     "PoissonBePackets",
-    "RateMeter",
     "RunningStats",
     "SaturatingSource",
     "Transpose",
     "UniformBeWorkload",
     "UniformRandom",
-    "WindowedRate",
     "percentile",
-    "trim_warmup",
 ]

@@ -2,34 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..network.packet import BePacket
 from ..network.topology import Coord
 from ..sim.kernel import Simulator
-from .stats import P2Quantile, RateMeter, RunningStats, WindowedRate, \
-    percentile
+from .stats import RunningStats
 
 __all__ = ["BeCollector", "GsBandwidthProbe"]
-
-#: Latency quantiles tracked by streaming collectors.
-STREAMING_QUANTILES = (50.0, 90.0, 95.0, 99.0)
 
 
 class BeCollector:
     """Drains a tile's BE inbox and records packet latencies.
 
-    With ``retain_packets=True`` (the default, right for tests and small
-    runs) every packet object is kept and percentiles are exact.  With
-    ``retain_packets=False`` the collector is fully streaming: Welford
-    latency moments, P² quantile estimates and a windowed arrival-rate
-    series — constant memory however many flits a run delivers.
+    Every collector keeps the delivered ``count`` and Welford latency
+    moments (``latency``).  With ``retain_packets=True`` (the default,
+    right for tests and small runs) every packet object is kept as well,
+    so exact percentiles can be taken from :attr:`packets`; with
+    ``retain_packets=False`` memory stays constant however many flits a
+    run delivers.
     """
 
     def __init__(self, sim: Simulator, network, coord: Coord,
                  retain_packets: bool = True,
-                 quantiles: Sequence[float] = STREAMING_QUANTILES,
-                 rate_window_ns: float = 1000.0,
                  observers: Sequence = ()):
         self.sim = sim
         self.network = network
@@ -39,16 +34,8 @@ class BeCollector:
         self.count = 0
         self.latency = RunningStats()
         # Shared accumulators (e.g. a workload-level P² estimator fed by
-        # every sink) — each gets .add(latency_sample) alongside this
-        # collector's own per-tile estimators.
+        # every sink): each gets .add(latency_sample).
         self.observers = tuple(observers)
-        # Only streaming mode owns P² estimators: in retain mode the
-        # percentiles are computed exactly from the packets, and a dict
-        # of never-fed estimators would read as NaN despite data.
-        self.latency_quantiles: Dict[float, P2Quantile] = {} \
-            if retain_packets else {q: P2Quantile(q) for q in quantiles}
-        self.arrivals = RateMeter() if retain_packets \
-            else WindowedRate(rate_window_ns)
         self.process = sim.process(self._run(), name=f"collect:{coord}")
 
     def _run(self):
@@ -56,9 +43,7 @@ class BeCollector:
         retain = self.retain_packets
         packets = self.packets
         latency = self.latency
-        estimators = list(self.latency_quantiles.values()) \
-            + list(self.observers)
-        record = self.arrivals.record
+        observers = self.observers
         while True:
             packet = yield inbox.get()
             self.count += 1
@@ -67,21 +52,8 @@ class BeCollector:
             if packet.inject_time >= 0:
                 sample = packet.arrive_time - packet.inject_time
                 latency.add(sample)
-                for estimator in estimators:
-                    estimator.add(sample)
-            record(packet.arrive_time)
-
-    def latency_percentile(self, q: float) -> float:
-        """Exact when packets are retained; the P² estimate otherwise."""
-        if self.retain_packets:
-            samples = [p.latency for p in self.packets if p.inject_time >= 0]
-            return percentile(samples, q)
-        estimator = self.latency_quantiles.get(q)
-        if estimator is None:
-            raise ValueError(
-                f"quantile {q} not tracked in streaming mode "
-                f"(tracked: {sorted(self.latency_quantiles)})")
-        return estimator.value
+                for observer in observers:
+                    observer.add(sample)
 
 
 class GsBandwidthProbe:

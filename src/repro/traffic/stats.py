@@ -1,30 +1,23 @@
 """Statistics utilities for simulation measurements.
 
 Pure-python (no numpy dependency in the hot path) running statistics,
-percentiles, histograms and windowed rate measurement, with warm-up
-trimming for steady-state experiments.
+percentiles and histograms.
 
 Million-flit runs must not hold per-sample lists, so the accumulating
-classes come in streaming form: :class:`RunningStats` (Welford moments),
-:class:`P2Quantile` (the P² streaming percentile estimator) and
-:class:`WindowedRate` (O(simulated time / window) arrival-rate series).
-:class:`RateMeter` keeps the exact-timestamp API for small runs.
+classes are streaming: :class:`RunningStats` (Welford moments) and
+:class:`P2Quantile` (the P² streaming percentile estimator).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 __all__ = [
     "RunningStats",
     "percentile",
     "P2Quantile",
     "Histogram",
-    "RateMeter",
-    "WindowedRate",
-    "trim_warmup",
 ]
 
 
@@ -229,118 +222,3 @@ class Histogram:
             lo = self.low + i * self._width
             lines.append(f"{lo:10.2f} |{bar:<{width}} {count}")
         return "\n".join(lines)
-
-
-class RateMeter:
-    """Windowed event-rate measurement (events per ns)."""
-
-    def __init__(self):
-        self.timestamps: List[float] = []
-
-    def record(self, time: float) -> None:
-        if self.timestamps and time < self.timestamps[-1]:
-            raise ValueError("timestamps must be non-decreasing")
-        self.timestamps.append(time)
-
-    @property
-    def count(self) -> int:
-        return len(self.timestamps)
-
-    def rate(self, start: Optional[float] = None,
-             end: Optional[float] = None) -> float:
-        """Events per ns inside [start, end] (defaults: full span)."""
-        if len(self.timestamps) < 2:
-            return 0.0
-        start = self.timestamps[0] if start is None else start
-        end = self.timestamps[-1] if end is None else end
-        if end <= start:
-            return 0.0
-        lo = bisect_right(self.timestamps, start)
-        hi = bisect_right(self.timestamps, end)
-        return max(0, hi - lo) / (end - start)
-
-    def windows(self, window_ns: float) -> List[Tuple[float, int]]:
-        """(window start, events) tuples covering the measurement span."""
-        if not self.timestamps or window_ns <= 0:
-            return []
-        start = self.timestamps[0]
-        end = self.timestamps[-1]
-        result = []
-        t = start
-        index = 0
-        while t <= end:
-            hi = bisect_right(self.timestamps, t + window_ns)
-            result.append((t, hi - index))
-            index = hi
-            t += window_ns
-        return result
-
-
-class WindowedRate:
-    """Streaming arrival-rate series over fixed windows.
-
-    Unlike :class:`RateMeter` it never stores timestamps: memory grows
-    with *simulated time / window*, not with the number of events, so a
-    million-flit sink costs a few hundred window counters.
-    """
-
-    def __init__(self, window_ns: float):
-        if window_ns <= 0:
-            raise ValueError("window must be positive")
-        self.window_ns = window_ns
-        self.count = 0
-        self.first: Optional[float] = None
-        self.last: Optional[float] = None
-        self._counts: List[int] = []
-        # Events recorded at exactly the first timestamp; RateMeter's
-        # span rate excludes all of them, so parity needs the tally.
-        self._first_ties = 0
-
-    def record(self, time: float) -> None:
-        if self.last is not None and time < self.last:
-            raise ValueError("timestamps must be non-decreasing")
-        if self.first is None:
-            self.first = time
-        if time == self.first:
-            self._first_ties += 1
-        index = int((time - self.first) / self.window_ns)
-        counts = self._counts
-        if index >= len(counts):
-            counts.extend([0] * (index + 1 - len(counts)))
-        counts[index] += 1
-        self.count += 1
-        self.last = time
-
-    def rate(self) -> float:
-        """Mean events per ns over the observed span.
-
-        Matches :meth:`RateMeter.rate` on identical data (all events at
-        the span's start timestamp are excluded, as ``bisect_right``
-        does there), so collectors report the same number in either
-        mode.
-        """
-        if self.count < 2 or self.last == self.first:
-            return 0.0
-        return (self.count - self._first_ties) / (self.last - self.first)
-
-    def windows(self) -> List[Tuple[float, int]]:
-        """(window start, events) tuples covering the measurement span."""
-        if self.first is None:
-            return []
-        return [(self.first + i * self.window_ns, c)
-                for i, c in enumerate(self._counts)]
-
-    def min_rate(self) -> float:
-        """Lowest per-window rate (events/ns) over complete windows;
-        falls back to the overall mean rate when the whole measurement
-        fits inside a single (incomplete) window."""
-        complete = self._counts[:-1]
-        if not complete:
-            return self.rate()
-        return min(complete) / self.window_ns
-
-
-def trim_warmup(samples: Sequence[Tuple[float, float]],
-                warmup_ns: float) -> List[float]:
-    """From (time, value) pairs keep values recorded after ``warmup_ns``."""
-    return [value for time, value in samples if time >= warmup_ns]

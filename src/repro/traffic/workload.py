@@ -18,15 +18,13 @@ __all__ = ["UniformBeWorkload", "run_until_processes_done"]
 
 
 def run_until_processes_done(network, processes, drain_ns: float = 2000.0,
-                             step_ns: float = 2000.0,
                              max_ns: float = 5e6) -> float:
     """Advance the simulation until every process has finished, then let
     in-flight traffic drain.  Returns the finish time.
 
-    Driving is event-based: the kernel runs flat out until an ``AllOf``
-    over the source processes triggers, instead of waking up every
-    ``step_ns`` to poll them (``step_ns`` is kept for API compatibility
-    but no longer paces anything).
+    The kernel runs flat out until an ``AllOf`` over the processes
+    triggers; the scenario runner and the traffic harnesses share this
+    one drive loop.
     """
     sim = network.sim
     done = sim.all_of(processes)
@@ -42,10 +40,11 @@ def run_until_processes_done(network, processes, drain_ns: float = 2000.0,
 class UniformBeWorkload:
     """Every tile injects Bernoulli BE packets under a spatial pattern.
 
-    ``retain_packets=False`` switches every collector to streaming
-    accumulation (Welford moments + P² quantiles) so workload memory
-    stays constant on million-flit runs; :meth:`latencies` is then
-    unavailable but :attr:`latency_stats` aggregates all sinks.
+    ``retain_packets=False`` keeps no packet objects in the collectors,
+    so workload memory stays constant on million-flit runs;
+    :meth:`latencies` is then unavailable but :attr:`latency_stats`
+    aggregates all sinks, and ``latency_observers`` (e.g. P² estimators)
+    see every sample.
     """
 
     def __init__(self, network, pattern: Pattern, slot_ns: float,
@@ -93,8 +92,8 @@ class UniformBeWorkload:
         if not self.retain_packets:
             raise RuntimeError(
                 "per-sample latencies need retain_packets=True; in "
-                "streaming mode use workload.latency_stats or "
-                "workload.collectors[coord].latency_percentile(q)")
+                "streaming mode use workload.latency_stats or pass "
+                "latency_observers")
         samples: List[float] = []
         for collector in self.collectors.values():
             samples.extend(p.latency for p in collector.packets

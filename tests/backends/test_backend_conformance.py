@@ -5,8 +5,8 @@ Three layers of guarantees:
 * **registry** — the four paper backends are registered and reachable
   from the top-level package;
 * **determinism** — each backend reproduces its golden flit-hop
-  fingerprint bit-identically across ``run`` vs ``run_batch`` driving
-  and retained-vs-streaming collectors (the same contract the MANGO
+  fingerprint bit-identically with full observability on and across
+  retained-vs-streaming collectors (the same contract the MANGO
   goldens have);
 * **the Section 4.1 verdict** — the same saturation cell passes its GS
   contract on ``mango`` and measurably violates it on ``generic-vc``:
@@ -22,10 +22,12 @@ from repro.backends import (BackendCapabilityError, RouterBackend,
 from repro.core.config import RouterConfig
 from repro.network.connection import AdmissionError
 from repro.network.topology import Coord
+from repro.obs import CallSiteProfiler, ChromeTraceSink, ObsConfig
 from repro.scenarios import ScenarioRunner, get
 from repro.scenarios.golden import (BACKEND_SMOKE_FINGERPRINTS,
                                     SMOKE_FINGERPRINTS)
 from repro.scenarios.runner import LATENCY_SLACK_CYCLES
+from repro.sim.tracing import Tracer
 
 #: The cheap cells every backend is pinned on (see scenarios/golden.py).
 CONFORMANCE_CELLS = ("be-uniform-4x4", "gs-cbr-4x4-uniform")
@@ -80,10 +82,15 @@ class TestGoldenFingerprints:
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_SMOKE_FINGERPRINTS))
     @pytest.mark.parametrize("name", CONFORMANCE_CELLS)
-    def test_batch_drive_matches_golden(self, backend, name):
-        """Awkward prime-sized run_batch slices must dispatch exactly
-        the same work on every backend, not just on MANGO."""
-        result = _run(name, backend, mode="batch", batch_events=977)
+    def test_full_observability_matches_golden(self, backend, name):
+        """Metrics, tracing and profiling all on must still pass and
+        dispatch exactly the same work on every backend, not just on
+        MANGO."""
+        obs = ObsConfig(metrics=True, tracer=Tracer(sink=ChromeTraceSink()),
+                        profile=CallSiteProfiler())
+        result = ScenarioRunner(get(name).smoke(), backend=backend,
+                                obs=obs).run()
+        assert result.passed, result.failures()
         assert result.fingerprint == \
             BACKEND_SMOKE_FINGERPRINTS[backend][name]
 

@@ -1,11 +1,11 @@
 """The ring and routerless fabric backends.
 
 The fabric cells are first-class matrix citizens: resolved from their
-spec's topology with no ``--backend`` flag, deterministic across drive
-modes (golden-pinned like every other cell), scored against their own
-architectural bound (the fair-share loop contract — not the mesh VC
-contract), and capability-gated both ways: a mesh backend refuses a
-fabric cell and a fabric backend refuses a mesh cell, loudly.
+spec's topology with no ``--backend`` flag, golden-pinned like every
+other cell, scored against their own architectural bound (the
+fair-share loop contract — not the mesh VC contract), and
+capability-gated both ways: a mesh backend refuses a fabric cell and a
+fabric backend refuses a mesh cell, loudly.
 """
 
 import pytest
@@ -54,11 +54,6 @@ class TestFabricCells:
         assert result.fingerprint == SMOKE_FINGERPRINTS[name]
         assert result.topology == get(name).topology
         assert result.backend in ("ring", "routerless")
-
-    @pytest.mark.parametrize("name", FABRIC_CELLS)
-    def test_batch_drive_matches_golden(self, name):
-        result = ScenarioRunner(get(name).smoke()).run(mode="batch")
-        assert result.fingerprint == SMOKE_FINGERPRINTS[name]
 
     def test_verdicts_use_the_loop_bound(self):
         """GS verdicts price the fabric's own contract over the route's

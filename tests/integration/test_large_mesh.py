@@ -173,7 +173,7 @@ class TestLargeMesh:
         net_a.run(until=20000.0)
 
         net_b, conn_b = build()
-        while net_b.run_batch(until=20000.0, max_events=97):
+        while net_b.sim.run_batch(until=20000.0, max_events=97):
             pass
         assert net_b.now == 20000.0
         assert conn_a.sink.payloads == conn_b.sink.payloads

@@ -6,8 +6,8 @@ from repro.obs import MetricsRegistry, MetricsSnapshot, ObsConfig
 from repro.scenarios import ScenarioRunner, get
 
 
-def _run(name, obs=None, mode="event"):
-    return ScenarioRunner(get(name).smoke(), obs=obs).run(mode=mode)
+def _run(name, obs=None):
+    return ScenarioRunner(get(name).smoke(), obs=obs).run()
 
 
 class TestSnapshot:
@@ -62,12 +62,6 @@ class TestNonPerturbation:
             assert on.fingerprint == off.fingerprint, cell
             assert on.events == off.events, cell
             assert on.flit_hops == off.flit_hops, cell
-
-    def test_fingerprint_identical_in_batch_mode(self):
-        off = _run("be-uniform-4x4", mode="batch")
-        on = _run("be-uniform-4x4", obs=ObsConfig(metrics=True),
-                  mode="batch")
-        assert on.fingerprint == off.fingerprint
 
 
 class TestRegistry:

@@ -1,12 +1,11 @@
 """Trace exports are byte-deterministic across every equivalent drive.
 
 The Chrome export's contract (``repro.obs.trace``): the same scenario
-produces the *same bytes* no matter how the kernel was driven —
-``run`` vs ``run_batch``, the plain vs the profiled drain loop,
-link-segment hop batching on or off, and across repeated runs in one
-process (trace tags are run-relative, never process-global ids).  Any
-drift here means emission order or float arithmetic leaked into the
-artifact.
+produces the *same bytes* no matter how the kernel was driven — the
+plain vs the profiled drain loop, link-segment hop batching on or off,
+and across repeated runs in one process (trace tags are run-relative,
+never process-global ids).  Any drift here means emission order or
+float arithmetic leaked into the artifact.
 """
 
 import pytest
@@ -20,11 +19,11 @@ from repro.sim.tracing import Tracer
 CELLS = ("be-uniform-4x4", "ring-cbr-8x8")
 
 
-def _export(name, mode="event", profile=None):
+def _export(name, profile=None):
     sink = ChromeTraceSink()
     tracer = Tracer(enabled=True, sink=sink)
     obs = ObsConfig(tracer=tracer, profile=profile)
-    result = ScenarioRunner(get(name).smoke(), obs=obs).run(mode=mode)
+    result = ScenarioRunner(get(name).smoke(), obs=obs).run()
     assert result.passed, result.failures()
     return sink.to_json(), result.fingerprint
 
@@ -34,13 +33,6 @@ def test_rerun_in_one_process(cell):
     first = _export(cell)
     second = _export(cell)
     assert first == second
-
-
-@pytest.mark.parametrize("cell", CELLS)
-def test_event_vs_batch_drive(cell):
-    event = _export(cell, mode="event")
-    batch = _export(cell, mode="batch")
-    assert event == batch
 
 
 @pytest.mark.parametrize("cell", CELLS)

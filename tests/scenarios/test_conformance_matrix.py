@@ -54,19 +54,30 @@ class TestMatrixShape:
             assert smoke.smoke() == smoke
 
 
+def _preload_only_spec():
+    """One 12-flit GS preload and nothing else: no driving process."""
+    from repro.scenarios import GsConnectionSpec, ScenarioSpec
+    return ScenarioSpec(
+        name="preload-only", cols=3, rows=2,
+        gs=(GsConnectionSpec(src=(0, 0), dst=(2, 1), flits=12),))
+
+
 class TestRunnerEdges:
-    def test_preload_only_scenario_runs_in_both_modes(self):
+    def test_preload_only_scenario_drains_by_itself(self):
         """No driving processes at all: the heap must drain cleanly
-        under either drive style and produce matching fingerprints."""
-        from repro.scenarios import GsConnectionSpec, ScenarioSpec
-        spec = ScenarioSpec(
-            name="preload-only", cols=3, rows=2,
-            gs=(GsConnectionSpec(src=(0, 0), dst=(2, 1), flits=12),))
-        event = ScenarioRunner(spec).run(mode="event")
-        batch = ScenarioRunner(spec).run(mode="batch", batch_events=13)
-        assert event.passed and batch.passed
-        assert event.gs[0].delivered == 12
-        assert event.fingerprint == batch.fingerprint
+        once every preloaded flit is delivered."""
+        result = ScenarioRunner(_preload_only_spec()).run()
+        assert result.passed
+        assert result.gs[0].delivered == 12
+        assert result.fingerprint == "dc87f9a3da480928"
+
+    def test_sampling_needs_a_driving_process(self):
+        """The gauge sampler never stops by itself; without a driving
+        process nothing would end the run, so it is refused up front."""
+        from repro.obs import ObsConfig
+        obs = ObsConfig(metrics=True, metrics_sample_ns=1000.0)
+        with pytest.raises(ValueError, match="metrics_sample_ns"):
+            ScenarioRunner(_preload_only_spec(), obs=obs)
 
     def test_full_diameter_patterns_accepted_up_to_chain_capacity(self):
         """Chained route headers lifted the 15-hop ceiling: every

@@ -2,29 +2,80 @@
 
 The flit-hop fingerprint digests pure-integer link/sink state, so it is
 machine-independent: every registry scenario must reproduce its recorded
-golden bit-identically whichever way the kernel is driven (``run`` via
-an AllOf trigger vs ``run_batch`` slices) and whether collectors retain
-packets or stream (P²/Welford) — drive style and measurement mode must
-never change the simulated work.
+golden bit-identically with full observability on (metrics probes, a
+streaming trace sink and the call-site profiler) and whether collectors
+retain packets or stream (P²/Welford) — telemetry and measurement mode
+must never change the simulated work.
+
+The observed run's trace is also checked offline: every BE record of a
+packet carries that packet's run-relative ``p<n>`` key, and GS
+``c<connection>.<payload>`` tags pair one to one.
 """
 
+import collections
 import dataclasses
+import functools
 
 import pytest
 
+from repro.obs import CallSiteProfiler, ChromeTraceSink, ObsConfig
 from repro.scenarios import ScenarioRunner, get, flit_hop_fingerprint
 from repro.scenarios.golden import SMOKE_FINGERPRINTS
+from repro.sim.tracing import Tracer
 
 from scenario_params import matrix_params
 
 
+def _trace_keys(payload):
+    """``{(service, kind): Counter(tag)}`` over a Chrome trace payload;
+    GS tags start with ``c``, BE packet keys with ``p``."""
+    keys = collections.defaultdict(collections.Counter)
+    for event in payload["traceEvents"]:
+        args = event.get("args", {})
+        tag = args.get("flit")
+        if tag is not None:
+            service = "gs" if tag.startswith("c") else "be"
+            keys[service, args["kind"]][tag] += 1
+    return keys
+
+
+@functools.lru_cache(maxsize=None)
+def _observed_run(name):
+    """One smoke run of ``name`` with full observability (cached, so
+    each cell runs once for every test below): the result and the
+    trace's keys."""
+    sink = ChromeTraceSink()
+    obs = ObsConfig(metrics=True, tracer=Tracer(sink=sink),
+                    profile=CallSiteProfiler())
+    result = ScenarioRunner(get(name).smoke(), obs=obs).run()
+    return result, _trace_keys(sink.to_payload())
+
+
 @pytest.mark.parametrize("name", matrix_params())
-def test_batch_drive_matches_golden(name):
-    """run_batch slices (awkward 977-event batches, deliberately prime)
-    must dispatch the exact same work as the AllOf-triggered run."""
-    spec = get(name).smoke()
-    result = ScenarioRunner(spec).run(mode="batch", batch_events=977)
+def test_full_observability_matches_golden(name):
+    """Metrics, tracing and profiling all on: the run still passes and
+    dispatches exactly the work of the plain run."""
+    result, _keys = _observed_run(name)
+    assert result.passed, result.failures()
     assert result.fingerprint == SMOKE_FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize(
+    "name", matrix_params(where=lambda spec: spec.failure is None))
+def test_trace_keys_pair(name):
+    """The BE keys injected are exactly the keys that reach a terminal
+    record (the NA eject, or ``config_packet`` for a programming
+    packet), each terminal key once; every hop names an injected key;
+    every GS tag is ejected once for its one inject."""
+    _result, keys = _observed_run(name)
+    injected = set(keys["be", "inject"])
+    terminal = keys["be", "eject"] + keys["be", "config_packet"]
+    assert injected
+    assert set(terminal) == injected
+    assert set(terminal.values()) == {1}
+    assert set(keys["be", "hop"]) <= injected
+    assert keys["gs", "eject"] == keys["gs", "inject"]
+    assert set(keys["gs", "inject"].values()) <= {1}
 
 
 @pytest.mark.parametrize("name", matrix_params())

@@ -84,7 +84,6 @@ class TestCellIdentity:
                               allocator="min-adaptive"),
                     FleetCell(name="be-uniform-4x4", topology="ring"),
                     FleetCell(name="be-uniform-4x4", smoke=False),
-                    FleetCell(name="be-uniform-4x4", mode="batch"),
                     FleetCell(name="be-uniform-4x4", metrics=True),
                     FleetCell(name="gs-cbr-4x4-uniform")]
         keys = {cache_key(cell, code) for cell in [base] + variants}

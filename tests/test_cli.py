@@ -103,11 +103,6 @@ class TestScenarioCli:
         assert "2/2 scenarios passed" in out
         assert "no golden" not in out
 
-    def test_matrix_batch_mode_matches(self, capsys):
-        assert main(["scenario", "matrix", "--smoke", "--mode", "batch",
-                     "--names", "be-uniform-4x4"]) == 0
-        assert "1/1 scenarios passed" in capsys.readouterr().out
-
     def test_update_golden_requires_smoke_before_running(self, capsys):
         """Refused up front — not after minutes of full-duration runs."""
         assert main(["scenario", "matrix", "--update-golden"]) == 2
@@ -178,8 +173,8 @@ class TestScenarioCli:
                                                     capsys):
         import repro.__main__ as cli
 
-        def doomed(self, mode="event", batch_events=8192):
-            result = real_run(self, mode=mode, batch_events=batch_events)
+        def doomed(self):
+            result = real_run(self)
             result.be_sent += 1  # fake a lost packet
             return result
 
@@ -219,8 +214,8 @@ class TestMatrixExitCodes:
         from repro.scenarios import ScenarioRunner
         real_run = ScenarioRunner.run
 
-        def doomed(self, mode="event", batch_events=8192):
-            result = real_run(self, mode=mode, batch_events=batch_events)
+        def doomed(self):
+            result = real_run(self)
             result.be_sent += 1  # fake a lost packet
             return result
 
@@ -251,10 +246,10 @@ class TestMatrixExitCodes:
         from repro.scenarios import ScenarioRunner
         real_run = ScenarioRunner.run
 
-        def crashy(self, mode="event", batch_events=8192):
+        def crashy(self):
             if self.spec.name == "gs-cbr-4x4-uniform":
                 raise RuntimeError("event heap drained unexpectedly")
-            return real_run(self, mode=mode, batch_events=batch_events)
+            return real_run(self)
 
         monkeypatch.setattr(ScenarioRunner, "run", crashy)
         assert main(["scenario", "matrix", "--smoke", "--names",

@@ -8,11 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.traffic.stats import (
     Histogram,
     P2Quantile,
-    RateMeter,
     RunningStats,
-    WindowedRate,
     percentile,
-    trim_warmup,
 )
 
 
@@ -119,48 +116,6 @@ class TestHistogram:
         hist.add(0.5)
         text = hist.render(width=10)
         assert "#" in text
-
-
-class TestRateMeter:
-    def test_monotonic_required(self):
-        meter = RateMeter()
-        meter.record(1.0)
-        with pytest.raises(ValueError):
-            meter.record(0.5)
-
-    def test_rate_over_span(self):
-        meter = RateMeter()
-        for t in range(11):
-            meter.record(float(t))
-        assert meter.rate() == pytest.approx(1.0)
-
-    def test_rate_in_window(self):
-        meter = RateMeter()
-        for t in (0.0, 1.0, 2.0, 10.0, 11.0):
-            meter.record(t)
-        assert meter.rate(start=0.0, end=2.0) == pytest.approx(1.0)
-
-    def test_too_few_events(self):
-        meter = RateMeter()
-        meter.record(1.0)
-        assert meter.rate() == 0.0
-
-    def test_windows_cover_span(self):
-        meter = RateMeter()
-        for t in range(10):
-            meter.record(float(t))
-        windows = meter.windows(3.0)
-        assert sum(count for _, count in windows) == 10 - 1 or \
-            sum(count for _, count in windows) == 10
-
-
-class TestTrimWarmup:
-    def test_trims_before_threshold(self):
-        samples = [(0.0, 1.0), (5.0, 2.0), (10.0, 3.0)]
-        assert trim_warmup(samples, 5.0) == [2.0, 3.0]
-
-    def test_empty(self):
-        assert trim_warmup([], 10.0) == []
 
 
 class TestRunningStatsMerge:
@@ -271,108 +226,3 @@ class TestP2Quantile:
         for _ in range(20):
             est.add(2.0)
         assert est.value == 2.0
-
-
-class TestWindowedRate:
-    def test_empty(self):
-        meter = WindowedRate(10.0)
-        assert meter.count == 0
-        assert meter.rate() == 0.0
-        assert meter.windows() == []
-        assert meter.min_rate() == 0.0
-        assert meter.first is None and meter.last is None
-
-    def test_single_event_spans_no_window(self):
-        meter = WindowedRate(10.0)
-        meter.record(4.0)
-        assert meter.rate() == 0.0          # a lone event has no span
-        assert meter.min_rate() == 0.0
-        assert meter.windows() == [(4.0, 1)]
-
-    def test_gap_windows_counted_as_zero(self):
-        """A silent stretch in the middle shows up as explicit empty
-        windows (and drives min_rate to zero), not as missing entries."""
-        meter = WindowedRate(10.0)
-        for t in (0.0, 2.0, 35.0):
-            meter.record(t)
-        assert meter.windows() == [(0.0, 2), (10.0, 0), (20.0, 0),
-                                   (30.0, 1)]
-        assert meter.min_rate() == 0.0
-
-    def test_counts_per_window(self):
-        meter = WindowedRate(10.0)
-        for t in (0.0, 1.0, 2.0, 11.0, 25.0):
-            meter.record(t)
-        windows = meter.windows()
-        assert [c for _, c in windows] == [3, 1, 1]
-        assert windows[0][0] == 0.0
-        assert meter.count == 5
-
-    def test_rate_over_span(self):
-        meter = WindowedRate(5.0)
-        for t in range(11):
-            meter.record(float(t))
-        assert meter.rate() == pytest.approx(1.0)
-
-    def test_rate_agrees_with_rate_meter(self):
-        """Collectors swap meter classes with retain_packets: both must
-        report the same rate for the same arrivals."""
-        exact = RateMeter()
-        streaming = WindowedRate(5.0)
-        for t in range(11):
-            exact.record(float(t))
-            streaming.record(float(t))
-        assert streaming.rate() == pytest.approx(exact.rate())
-
-    def test_monotonicity_enforced(self):
-        meter = WindowedRate(10.0)
-        meter.record(5.0)
-        with pytest.raises(ValueError):
-            meter.record(4.0)
-
-    def test_memory_grows_with_time_not_samples(self):
-        meter = WindowedRate(100.0)
-        for i in range(10000):
-            meter.record(i * 0.01)  # 10k samples inside one window
-        assert len(meter.windows()) == 1
-
-    def test_matches_rate_meter_windows(self):
-        # Off-boundary timestamps: RateMeter's windows are
-        # right-inclusive, WindowedRate's are half-open [t, t+w).
-        times = [0.0, 3.0, 4.5, 9.9, 10.5, 17.2, 30.1]
-        exact = RateMeter()
-        streaming = WindowedRate(10.0)
-        for t in times:
-            exact.record(t)
-            streaming.record(t)
-        assert [c for _, c in exact.windows(10.0)] == \
-            [c for _, c in streaming.windows()]
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            WindowedRate(0.0)
-
-    def test_min_rate_over_complete_windows(self):
-        meter = WindowedRate(10.0)
-        for t in (0.0, 1.0, 2.0, 11.0, 25.0):
-            meter.record(t)
-        # Complete windows hold 3 and 1 events; the trailing partial
-        # window (1 event) is excluded.
-        assert meter.min_rate() == pytest.approx(1 / 10.0)
-
-    def test_min_rate_sub_window_span_uses_mean_rate(self):
-        """A measurement shorter than one window has no complete
-        windows: min_rate falls back to the observed mean rate instead
-        of underestimating against the full window width."""
-        meter = WindowedRate(100.0)
-        for t in range(51):
-            meter.record(float(t))
-        assert meter.min_rate() == pytest.approx(1.0)
-
-    def test_rate_agrees_with_rate_meter_on_tied_starts(self):
-        exact = RateMeter()
-        streaming = WindowedRate(5.0)
-        for t in (0.0, 0.0, 10.0):
-            exact.record(t)
-            streaming.record(t)
-        assert streaming.rate() == pytest.approx(exact.rate())
