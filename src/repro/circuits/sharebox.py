@@ -96,6 +96,16 @@ class Unsharebox:
                 "(share-based protocol violated)")
         self.accepted += 1
 
+    def leave(self) -> Any:
+        """Remove the latched flit now and fire the unlock toggle (the
+        non-blocking departure: the caller knows a flit is latched)."""
+        flit = self.latch.try_get()
+        if flit is None:
+            raise ShareProtocolError(
+                f"{self.name}: departure from an empty unsharebox")
+        self._departed(None)
+        return flit
+
     def take(self) -> Event:
         """Event yielding the flit; completing it *is* the departure, so
         the unlock toggle fires."""
@@ -109,7 +119,7 @@ class Unsharebox:
             event.add_callback(self._departed)
         return event
 
-    def _departed(self, _event: Event) -> None:
+    def _departed(self, _event: Optional[Event]) -> None:
         self.departed += 1
         for callback in self._on_unlock:
             callback()

@@ -118,6 +118,13 @@ class VcSlot:
     ``on_departed`` is wired to the VC control module: it fires when a
     flit leaves the unsharebox, which is what toggles the unlock wire
     back along the connection.
+
+    The slot is driven by calls, not by a process: an accepted flit
+    starts the unshare transfer (one deferred call) once the buffer has
+    room, and emptying the buffer starts it for a flit waiting in the
+    latch.  ``on_buffered`` is called when a flit lands in the buffer —
+    the network port's :class:`VcSender`; the local port leaves it unset,
+    because its NA waits on the buffer itself (:meth:`take`).
     """
 
     def __init__(self, sim: Simulator, config: RouterConfig,
@@ -138,28 +145,55 @@ class VcSlot:
         self.buffer = Store(sim, capacity=1, name=f"{name}.buf")
         self.flow = make_flow(config, sim, name=f"{name}.flow")
         self.flits_through = 0
-        self._mover = sim.process(self._move(), name=f"{name}.mover")
+        self.on_buffered: Optional[Callable[[], None]] = None
+        self._transfer_ns = config.timing.unshare_transfer_ns()
+        self._moving = False  # an unshare transfer is under way
 
     def accept(self, flit: GsFlit) -> None:
         """Arrival from the switching module into the unsharebox."""
         self.unsharebox.accept(flit)
+        self._refill()
 
-    def _move(self):
+    def _refill(self) -> None:
+        """Start the unshare transfer if a flit waits in the latch and
+        the buffer has room for it.
+
+        Called inside the call that made the transfer possible (the
+        accept, the end of the previous transfer, or the removal that
+        freed the buffer, before the removed flit is sent on), so its
+        heap entry takes the same place among same-time events on every
+        run; the golden traces pin that order."""
+        if not self._moving and self.unsharebox.latch.items \
+                and not self.buffer.is_full:
+            self._moving = True
+            self.sim.defer(self._transfer_ns, self._transfer)
+
+    def _transfer(self) -> None:
         """Unsharebox -> buffer; the departure fires the unlock."""
-        transfer_ns = self.config.timing.unshare_transfer_ns()
-        latch_when_any = self.unsharebox.latch.when_any
-        buffer = self.buffer
-        timeout = self.sim.timeout
-        take = self.unsharebox.take
-        while True:
-            yield latch_when_any()
-            yield buffer.when_space()
-            yield timeout(transfer_ns)
-            flit = yield take()
-            if not buffer.try_put(flit):
-                raise ShareProtocolError(
-                    f"{self.name}: buffer stolen during unshare transfer")
-            self.flits_through += 1
+        flit = self.unsharebox.leave()
+        if not self.buffer.try_put(flit):
+            raise ShareProtocolError(
+                f"{self.name}: buffer stolen during unshare transfer")
+        self._moving = False
+        if self.on_buffered is not None:
+            self.on_buffered()
+        self.flits_through += 1
+        self._refill()
+
+    def pop(self) -> GsFlit:
+        """Remove the buffered flit as it leaves on the link."""
+        flit = self.buffer.try_get()
+        if flit is None:  # pragma: no cover - single consumer
+            raise ShareProtocolError(f"{self.name}: buffer raced empty")
+        self._refill()
+        return flit
+
+    def take(self) -> Event:
+        """Event yielding the next buffered flit (the NA's side of a
+        local GS interface)."""
+        event = self.buffer.get()
+        self._refill()
+        return event
 
     @property
     def occupancy(self) -> int:
@@ -204,12 +238,58 @@ class BeTxChannel:
         return self._gate.wait_open()
 
 
+class VcSender:
+    """Link side of one network VC slot.
+
+    Once the slot buffers a flit, wait until the VC may advance (the
+    downstream sharebox is unlocked, or a credit is free), contend for
+    the link, and send the flit with the next hop's steering bits.  Each
+    wait is a callback attached to the flow-control or arbiter event, so
+    a port needs no process per VC.
+    """
+
+    __slots__ = ("slot", "flow", "vc", "direction", "_request",
+                 "_require", "_bump", "_transmit")
+
+    def __init__(self, port: "NetworkOutputPort", slot: VcSlot):
+        # The callbacks run once per flit on this VC, so their
+        # collaborators are bound once here (fixed for the port's
+        # lifetime).
+        self.slot = slot
+        self.flow = slot.flow
+        self.vc = slot.vc
+        self.direction = port.direction
+        self._request = port.arbiter.request
+        self._require = port.router.table.require
+        self._bump = port.router.counters.bump
+        self._transmit = port.link.transmit_gs
+
+    def contend(self, _event: Optional[Event] = None) -> None:
+        """The slot holds a flit: request the link once the VC control
+        lets it advance."""
+        if self.flow.ready:
+            self._request(self.vc).add_callback(self._granted)
+        else:
+            self.flow.wait_ready().add_callback(self.contend)
+
+    def _granted(self, _event: Event) -> None:
+        flit = self.slot.pop()
+        self.flow.admit()
+        entry = self._require(self.direction, self.vc)
+        if entry.steering is None:
+            raise ShareProtocolError(
+                f"{self.slot.name}: network VC without forward steering")
+        self._bump("gs_link_flits")
+        self._transmit(flit, entry.steering)
+
+
 class NetworkOutputPort:
     """A network output: V VC slots + BE channels + the link arbiter.
 
     The port is created unattached; :meth:`attach_link` wires it to the
-    physical link and starts the sender processes (the arbiter cycle time
-    depends on the link's pipelining).
+    physical link, gives every VC slot its :class:`VcSender` and starts
+    the BE sender processes (the arbiter cycle time depends on the link's
+    pipelining).
     """
 
     def __init__(self, sim: Simulator, router, direction: Direction,
@@ -249,41 +329,10 @@ class NetworkOutputPort:
             arbitration_ns=self.config.timing.arbitration_ns(),
             name=f"{self.name}.arb", tracer=self.router.tracer)
         for slot in self.slots:
-            self.sim.process(self._gs_sender(slot),
-                             name=f"{slot.name}.sender")
+            slot.on_buffered = VcSender(self, slot).contend
         for chan in self.be_tx:
             self.sim.process(self._be_sender(chan),
                              name=f"{chan.name}.sender")
-
-    def _gs_sender(self, slot: VcSlot):
-        """Contend for the link whenever the slot head flit may advance.
-
-        The loop runs once per flit on this VC, so its collaborators are
-        bound once up front (they are fixed for the port's lifetime).
-        """
-        buffer = slot.buffer
-        flow = slot.flow
-        vc = slot.vc
-        request = self.arbiter.request
-        require = self.router.table.require
-        bump = self.router.counters.bump
-        transmit = self.link.transmit_gs
-        direction = self.direction
-        while True:
-            yield buffer.when_any()
-            while not flow.ready:
-                yield flow.wait_ready()
-            yield request(vc)
-            flit = buffer.try_get()
-            if flit is None:  # pragma: no cover - single consumer
-                raise ShareProtocolError(f"{slot.name}: buffer raced empty")
-            flow.admit()
-            entry = require(direction, vc)
-            if entry.steering is None:
-                raise ShareProtocolError(
-                    f"{slot.name}: network VC without forward steering")
-            bump("gs_link_flits")
-            transmit(flit, entry.steering)
 
     def _be_sender(self, chan: BeTxChannel):
         be_rid = self.config.vcs_per_port + chan.vc
@@ -343,4 +392,4 @@ class LocalOutputPort:
     def take(self, iface: int) -> Event:
         """Event yielding the next delivered flit on an interface (used by
         the network adapter)."""
-        return self.slots[iface].buffer.get()
+        return self.slots[iface].take()

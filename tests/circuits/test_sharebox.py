@@ -97,6 +97,21 @@ class TestUnsharebox:
         sim.run_process(proc())
         assert unlocks == [2.0]
 
+    def test_leave_departs_now_and_fires_unlock(self, sim):
+        unlocks = []
+        box = Unsharebox(sim, on_unlock=lambda: unlocks.append(1))
+        box.accept("flit")
+        assert box.leave() == "flit"
+        assert unlocks == [1]
+        assert not box.occupied
+        assert box.departed == 1
+
+    def test_leave_from_empty_box_is_protocol_error(self, sim):
+        box = Unsharebox(sim, on_unlock=lambda: pytest.fail("unlocked"))
+        with pytest.raises(ShareProtocolError, match="empty"):
+            box.leave()
+        assert box.departed == 0
+
     def test_unlock_fires_per_departure(self, sim):
         unlocks = []
         box = Unsharebox(sim, on_unlock=lambda: unlocks.append(1))

@@ -1,12 +1,17 @@
 """Tests for output ports, VC slots and flow-control strategies."""
 
+import collections
+import hashlib
+
 import pytest
 
-from repro import MangoNetwork, Coord, RouterConfig
+from repro import ClockDomain, MangoNetwork, Coord, RouterConfig
 from repro.circuits.sharebox import ShareProtocolError
-from repro.core.output_port import CreditFlow, ShareFlow
+from repro.core.output_port import CreditFlow, ShareFlow, VcSlot
 from repro.network.topology import Direction
+from repro.obs import ChromeTraceSink
 from repro.sim.kernel import Simulator
+from repro.sim.tracing import Tracer
 
 
 @pytest.fixture
@@ -103,6 +108,69 @@ class TestVcSlotPipeline:
         net = MangoNetwork(2, 1)
         assert net.routers[Coord(0, 0)].output_ports[Direction.NORTH] \
             .arbiter is None
+
+
+class TestGsPathHasNoProcesses:
+    def test_boot_entries_are_be_and_adapter_processes_only(self):
+        """VC slots and their link senders run as callbacks: a freshly
+        built 4x4 mesh schedules boots for the BE input processes, the
+        BE senders, the local BE assemblers and the NA endpoints only
+        (its 576 slots and 384 GS senders add none)."""
+        net = MangoNetwork(4, 4)
+        sim = net.sim
+        boots = collections.Counter(
+            entry[4].__self__._generator.__qualname__
+            for entry in sim._heap
+            if entry[3] is None and entry[5] == (sim._boot_event,))
+        assert sum(boots.values()) == len(sim._heap) == 288
+        assert boots == {
+            "BeRouter._input_process": 16 * 5,
+            "NetworkOutputPort._be_sender": 48,
+            "MangoRouter._local_be_assembler": 16,
+            "NetworkAdapter._tx_run": 16 * 4,
+            "NetworkAdapter._rx_run": 16 * 4,
+            "NetworkAdapter._be_dispatch": 16,
+        }
+
+
+class TestSlotBehindClockedSink:
+    """The two slot branches no golden cell reaches: a flit landing in
+    an unsharebox that already latches one (credit mode), and a flit
+    waiting in the latch because a slow clocked sink has not drained the
+    buffer.  The exported timelines were recorded with the per-slot
+    mover and sender processes the callbacks replace."""
+
+    @pytest.mark.parametrize(
+        "config, digest, behind_full_buffer, into_occupied_latch", [
+            (RouterConfig(), "3be9ebce3c70024f", 196, 0),
+            (RouterConfig(flow_control="credit", credit_window=4),
+             "9fd79b132f092679", 161, 128),
+        ], ids=["share", "credit"])
+    def test_timeline_is_pinned(self, monkeypatch, config, digest,
+                                behind_full_buffer, into_occupied_latch):
+        seen = collections.Counter()
+        accept = VcSlot.accept
+
+        def counting_accept(slot, flit):
+            if slot.unsharebox.occupied:
+                seen["into_occupied_latch"] += 1
+            accept(slot, flit)
+            if slot.buffer.is_full:
+                seen["behind_full_buffer"] += 1
+        monkeypatch.setattr(VcSlot, "accept", counting_accept)
+        sink = ChromeTraceSink()
+        net = MangoNetwork(4, 1, config=config, tracer=Tracer(sink=sink),
+                           clocks={Coord(3, 0): ClockDomain(period_ns=4.0)})
+        conn = net.open_connection_instant(Coord(0, 0), Coord(3, 0))
+        assert conn.n_hops == 3
+        for value in range(60):
+            conn.send(value)
+        net.run(until=net.now + 5000.0)
+        assert conn.sink.payloads == list(range(60))
+        assert seen["behind_full_buffer"] == behind_full_buffer
+        assert seen["into_occupied_latch"] == into_occupied_latch
+        export = sink.to_json().encode()
+        assert hashlib.sha256(export).hexdigest()[:16] == digest
 
 
 class TestCreditModeEndToEnd:

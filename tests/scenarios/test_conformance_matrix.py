@@ -79,6 +79,28 @@ class TestRunnerEdges:
         with pytest.raises(ValueError, match="metrics_sample_ns"):
             ScenarioRunner(_preload_only_spec(), obs=obs)
 
+    def test_repeated_flit_hiding_a_lost_one_fails_the_gs_verdict(
+            self, monkeypatch):
+        """A sink that sees payload 1 twice and never payload 2 still
+        counts every flit, and its payloads stay sorted; the verdict
+        must call that a failure, not lossless in-order delivery."""
+        from repro.network.connection import GsSink
+        record = GsSink.record
+
+        def repeat_one(sink, flit, now):
+            record(sink, flit, now)
+            if sink.payloads[-1] == 2:
+                sink.payloads[-1] = 1
+        monkeypatch.setattr(GsSink, "record", repeat_one)
+        result = ScenarioRunner(get("gs-cbr-4x4-uniform").smoke()).run()
+        verdict = result.gs[0]
+        assert verdict.complete
+        assert not verdict.in_order
+        assert not verdict.ok
+        assert not result.passed
+        assert (f"GS {verdict.label}: out-of-order or repeated delivery"
+                in result.failures())
+
     def test_full_diameter_patterns_accepted_up_to_chain_capacity(self):
         """Chained route headers lifted the 15-hop ceiling: every
         pattern is legal on a 16x16 mesh (30-hop diameter), and the

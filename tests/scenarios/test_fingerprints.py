@@ -10,6 +10,9 @@ must never change the simulated work.
 The observed run's trace is also checked offline: every BE record of a
 packet carries that packet's run-relative ``p<n>`` key, and GS
 ``c<connection>.<payload>`` tags pair one to one.
+
+Every non-soak cell is also pinned at full duration (``slow``-marked:
+about half a minute for all of them).
 """
 
 import collections
@@ -19,8 +22,9 @@ import functools
 import pytest
 
 from repro.obs import CallSiteProfiler, ChromeTraceSink, ObsConfig
-from repro.scenarios import ScenarioRunner, get, flit_hop_fingerprint
-from repro.scenarios.golden import SMOKE_FINGERPRINTS
+from repro.scenarios import (ScenarioRunner, get, flit_hop_fingerprint,
+                             registry)
+from repro.scenarios.golden import FULL_FINGERPRINTS, SMOKE_FINGERPRINTS
 from repro.sim.tracing import Tracer
 
 from scenario_params import matrix_params
@@ -58,6 +62,22 @@ def test_full_observability_matches_golden(name):
     result, _keys = _observed_run(name)
     assert result.passed, result.failures()
     assert result.fingerprint == SMOKE_FINGERPRINTS[name]
+
+
+def test_every_non_soak_cell_has_a_full_fingerprint():
+    assert set(FULL_FINGERPRINTS) == set(
+        name for name in registry.names()
+        if "soak" not in get(name).tags)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(FULL_FINGERPRINTS))
+def test_full_duration_matches_golden(name):
+    """The full-duration run, which the paper's claims rest on, passes
+    and reproduces its golden."""
+    result = ScenarioRunner(get(name)).run()
+    assert result.passed, result.failures()
+    assert result.fingerprint == FULL_FINGERPRINTS[name]
 
 
 @pytest.mark.parametrize(
