@@ -1,21 +1,17 @@
 """F1 — The sharded scenario fleet: parallel == serial, and faster.
 
-Runs the full smoke registry through :mod:`repro.scenarios.fleet` three
-ways — the in-process serial loop (``jobs=1``, populating a result
-cache as it goes), sharded over 4 spawn workers, and replayed from the
-cache — and asserts:
+Runs the full smoke registry through :mod:`repro.scenarios.fleet` two
+ways — the in-process serial loop (``jobs=1``) and sharded over 4 spawn
+workers — and asserts:
 
-* verdicts and flit-hop fingerprints are bit-identical across all
-  three (the determinism contract behind ``scenario matrix --jobs N``);
+* verdicts and flit-hop fingerprints are bit-identical across both
+  (the determinism contract behind ``scenario matrix --jobs N``);
 * on multi-core hosts, the sharded run beats the serial one (on a
   single-core host no speedup exists to measure, so only equality is
-  asserted and the wall times are recorded as informational);
-* the cache replay serves every cell without recomputation, faster
-  than the serial run.
+  asserted and the wall times are recorded as informational).
 """
 
 import os
-import tempfile
 import time
 
 from repro.analysis.report import Table
@@ -35,30 +31,23 @@ def _signature(outcomes):
 
 def run_experiment():
     cells = [FleetCell(name=name) for name in registry.names()]
-    with tempfile.TemporaryDirectory() as cache_dir:
-        start = time.perf_counter()
-        serial = run_fleet(cells, jobs=1, cache_dir=cache_dir)
-        t_serial = time.perf_counter() - start
+    start = time.perf_counter()
+    serial = run_fleet(cells, jobs=1)
+    t_serial = time.perf_counter() - start
 
-        start = time.perf_counter()
-        parallel = run_fleet(cells, jobs=JOBS)
-        t_parallel = time.perf_counter() - start
-
-        start = time.perf_counter()
-        cached = run_fleet(cells, jobs=1, cache_dir=cache_dir)
-        t_cached = time.perf_counter() - start
+    start = time.perf_counter()
+    parallel = run_fleet(cells, jobs=JOBS)
+    t_parallel = time.perf_counter() - start
     return {
         "cells": cells,
-        "serial": serial, "parallel": parallel, "cached": cached,
+        "serial": serial, "parallel": parallel,
         "t_serial": t_serial, "t_parallel": t_parallel,
-        "t_cached": t_cached,
     }
 
 
 def test_fleet_speedup_and_determinism(benchmark):
     data = run_once(benchmark, run_experiment)
-    serial, parallel, cached = (data["serial"], data["parallel"],
-                                data["cached"])
+    serial, parallel = data["serial"], data["parallel"]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
 
@@ -67,29 +56,20 @@ def test_fleet_speedup_and_determinism(benchmark):
                         f"({len(serial)} cells, {cpus} cpus)")
     for label, outcomes, wall, jobs in (
             ("serial", serial, data["t_serial"], 1),
-            ("sharded", parallel, data["t_parallel"], JOBS),
-            ("cache replay", cached, data["t_cached"], 1)):
+            ("sharded", parallel, data["t_parallel"], JOBS)):
         table.add_row(label, jobs, round(wall, 2), len(outcomes),
                       sum(outcome.verdict == "PASS"
                           for outcome in outcomes))
     speedup = data["t_serial"] / data["t_parallel"]
-    body = (table.render()
-            + f"\nsharded speedup: {speedup:.2f}x"
-            + f"\ncache replay speedup: "
-              f"{data['t_serial'] / data['t_cached']:.2f}x")
+    body = table.render() + f"\nsharded speedup: {speedup:.2f}x"
     record("F1", "sharded scenario fleet", body)
 
-    # Determinism: the sharded and cache-replayed matrices are the
-    # serial matrix, cell for cell.
+    # Determinism: the sharded matrix is the serial matrix, cell for
+    # cell.
     assert _signature(parallel) == _signature(serial)
-    assert _signature(cached) == _signature(serial)
     assert all(outcome.verdict == "PASS" for outcome in serial), \
         [(o.cell.name, o.reason or o.failures) for o in serial
          if o.verdict != "PASS"]
-    assert all(outcome.cached for outcome in cached), \
-        "the second cache-dir pass must serve every cell from the cache"
-    assert data["t_cached"] < data["t_serial"], \
-        "replaying cached results must beat recomputing them"
     # The payoff: on a multi-core host the sharded fleet must beat the
     # serial loop.  A single-core host cannot show a speedup (spawn
     # overhead with zero parallelism), so there the wall times above

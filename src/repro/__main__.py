@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import (AdmissionError, Coord, MangoNetwork, RouterConfig, TYPICAL,
@@ -151,7 +150,6 @@ def cmd_scenario(args) -> int:
     # Matrix-only flags are refused elsewhere, never ignored.
     if args.action != "matrix":
         for flag, used in (("--jobs", args.jobs != 1),
-                           ("--cache-dir", args.cache_dir is not None),
                            ("--names", args.names is not None),
                            ("--update-golden", args.update_golden)):
             if used:
@@ -160,13 +158,6 @@ def cmd_scenario(args) -> int:
                 return 2
     if _too_small(1, ("--jobs", args.jobs)):
         return 2
-    if args.cache_dir is not None:
-        try:
-            os.makedirs(args.cache_dir, exist_ok=True)
-        except OSError as error:
-            print(f"--cache-dir: cannot use {args.cache_dir}: "
-                  f"{error.strerror}", file=sys.stderr)
-            return 2
     if args.action == "list" and args.metrics:
         print("--metrics only applies to 'run' and 'matrix'",
               file=sys.stderr)
@@ -356,7 +347,7 @@ def cmd_scenario(args) -> int:
                        allocator=args.allocator, topology=args.topology,
                        smoke=smoke, metrics=args.metrics)
              for name in selected]
-    outcomes = run_fleet(cells, jobs=args.jobs, cache_dir=args.cache_dir)
+    outcomes = run_fleet(cells, jobs=args.jobs)
     table = Table(["scenario", "mesh", "BE recv/sent", "GS ok",
                    "p99 ns", "fingerprint", "verdict"],
                   title=f"QoS conformance matrix "
@@ -365,7 +356,6 @@ def cmd_scenario(args) -> int:
     failed = []
     skipped = 0
     errored = 0
-    cached = sum(1 for outcome in outcomes if outcome.cached)
     fingerprints = {}
     for name, outcome in zip(selected, outcomes):
         if outcome.status == "skip":
@@ -429,8 +419,6 @@ def cmd_scenario(args) -> int:
     ran = len(selected) - skipped
     note = (f" ({skipped} skipped: backend {backend_label})"
             if skipped else "")
-    if cached:
-        note += f" ({cached} cached: {args.cache_dir})"
     print(f"{ran - len(failed)}/{ran} scenarios passed{note}")
     if ran == 0:
         # A fully-skipped matrix proved nothing; a capability-gated CI
@@ -870,11 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "in-process serial loop; verdicts and "
                                "fingerprints are identical either way; "
                                "see docs/benchmarks.md)")
-    scenario.add_argument("--cache-dir", default=None,
-                          help="per-cell result cache for 'matrix', "
-                               "keyed on spec+backend+allocator+"
-                               "topology+code fingerprint (see "
-                               "docs/benchmarks.md)")
     scenario.add_argument("--metrics", action="store_true",
                           help="register the observability probe set "
                                "and report counters/gauges ('run' and "

@@ -47,7 +47,8 @@ from ..network.connection import AdmissionError
 from ..network.packet import BePacket
 from ..network.topology import Coord, Direction
 from .base import RouterBackend
-from .graphnet import BaseMeshNetwork, MeshAdapter, MeshConnection
+from .graphnet import (BaseMeshNetwork, MeshAdapter, MeshConnection,
+                       _trace_tag)
 
 __all__ = ["TdmFlit", "TdmLink", "TdmNetwork", "TdmBackend",
            "DEFAULT_TABLE_SIZE"]
@@ -89,6 +90,7 @@ class TdmLink:
         self.sim = network.sim
         self.slot_ns = network.slot_ns
         self.dst_coord = src.step(direction)
+        self.label = f"L{src.x}.{src.y}.{direction.name}"
         self.table = table                  # baselines TdmSlotTable
         self.counters = counters
         self.gs_queues: Dict[int, Deque[TdmFlit]] = {}
@@ -154,6 +156,11 @@ class TdmLink:
             return
         # The flit occupies this slot on the wire; it is at the next
         # router for the following boundary — slot alignment by design.
+        tracer = self.network.tracer
+        if tracer.enabled:
+            tracer.emit(slot * self.slot_ns, self.label, "hop",
+                        flit=_trace_tag(flit), cls=flit.kind,
+                        dur_ns=self.slot_ns, slot=slot)
         arrive = (slot + 1) * self.slot_ns
         self.sim.defer(max(0.0, arrive - self.sim.now),
                        self.network._arrive, flit, self.dst_coord)
@@ -209,6 +216,11 @@ class TdmNetwork(BaseMeshNetwork):
                        inject_time=self.sim.now,
                        connection_id=conn.connection_id,
                        slot_owner_id=conn.tdm.connection_id, last=last)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, f"NA{conn.src.x}.{conn.src.y}",
+                        "inject", flit=_trace_tag(flit), cls="gs",
+                        dur_ns=self.slot_ns)
         self.adapters[conn.src].local_link.gs_flits += 1
         self.tdm_links[(conn.src, conn.moves[0])].enqueue(flit)
 
@@ -222,14 +234,25 @@ class TdmNetwork(BaseMeshNetwork):
                                                         dst))]
         words = [packet.header] + packet.words
         for index, word in enumerate(words):
-            first.enqueue(TdmFlit(payload=word, dst=dst, kind="be",
-                                  inject_time=packet.inject_time,
-                                  is_tail=(index == len(words) - 1),
-                                  packet=packet))
+            flit = TdmFlit(payload=word, dst=dst, kind="be",
+                           inject_time=packet.inject_time,
+                           is_tail=(index == len(words) - 1),
+                           packet=packet)
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.emit(self.sim.now,
+                            f"NA{adapter.coord.x}.{adapter.coord.y}",
+                            "inject", flit=_trace_tag(flit), cls="be",
+                            dur_ns=self.slot_ns)
+            first.enqueue(flit)
             yield self.sim.timeout(self.slot_ns)
 
     def _arrive(self, flit: TdmFlit, coord: Coord) -> None:
         if coord == flit.dst:
+            tracer = self.tracer
+            if tracer.enabled and (flit.kind == "gs" or flit.is_tail):
+                tracer.emit(self.sim.now, f"NA{coord.x}.{coord.y}",
+                            "eject", flit=_trace_tag(flit), cls=flit.kind)
             if flit.kind == "gs":
                 conn = self.connection_manager.connections[
                     flit.connection_id]

@@ -103,23 +103,7 @@ class Unsharebox:
         if flit is None:
             raise ShareProtocolError(
                 f"{self.name}: departure from an empty unsharebox")
-        self._departed(None)
-        return flit
-
-    def take(self) -> Event:
-        """Event yielding the flit; completing it *is* the departure, so
-        the unlock toggle fires."""
-        event = self.latch.get()
-        if event.processed:
-            # The latch had the flit and get() completed inline: the
-            # departure is now, before the taker resumes (the same order
-            # the callback list used to guarantee).
-            self._departed(event)
-        else:
-            event.add_callback(self._departed)
-        return event
-
-    def _departed(self, _event: Optional[Event]) -> None:
         self.departed += 1
         for callback in self._on_unlock:
             callback()
+        return flit

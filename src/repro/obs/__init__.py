@@ -30,8 +30,8 @@ from ..sim.tracing import Tracer
 from .metrics import (MetricsRegistry, MetricsSnapshot, build_registry,
                       instrument_network)
 from .profile import CallSiteProfiler, callback_site
-from .trace import (ChromeTraceSink, parse_filters, render_timeline,
-                    validate_chrome_trace)
+from .trace import (ChromeTraceSink, OrderDigestSink, parse_filters,
+                    render_timeline, validate_chrome_trace)
 
 __all__ = [
     "CallSiteProfiler",
@@ -39,6 +39,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "ObsConfig",
+    "OrderDigestSink",
     "build_registry",
     "callback_site",
     "instrument_network",

@@ -20,6 +20,12 @@ cycle boundaries an unbatched run fires at, differing only by float
 ulps, which the rounding absorbs.  Batching does not keep the order of
 same-timestamp events (``docs/kernel.md``); the total sort absorbs that.
 
+:class:`OrderDigestSink` is the other streaming sink: it hashes every
+record in *emission* order, so two runs with the same digest emitted
+the same records in the same order — what the flit-hop fingerprint
+(per-link counts) and the sorted Chrome export cannot see.  The golden
+order digests in :mod:`repro.scenarios.golden` are taken with it.
+
 The module also provides :func:`render_timeline` (the terminal view of a
 tracer's ring) and :func:`validate_chrome_trace` (the schema check the
 CI ``obs-smoke`` job runs on an exported file).
@@ -27,13 +33,14 @@ CI ``obs-smoke`` job runs on an exported file).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.tracing import TraceRecord, Tracer
 
-__all__ = ["ChromeTraceSink", "parse_filters", "render_timeline",
-           "validate_chrome_trace"]
+__all__ = ["ChromeTraceSink", "OrderDigestSink", "parse_filters",
+           "render_timeline", "validate_chrome_trace"]
 
 #: Chrome trace timestamps are microseconds; simulation time is ns.
 _NS_TO_US = 1e-3
@@ -132,6 +139,23 @@ class ChromeTraceSink:
         """Canonical (byte-deterministic) serialization."""
         return json.dumps(self.to_payload(), sort_keys=True,
                           separators=(",", ":"))
+
+
+class OrderDigestSink:
+    """Streaming sha256 over every record's ``(time, source, kind,
+    sorted(info))`` in emission order; :meth:`hexdigest` is its first 16
+    hex characters.  ``repr`` of floats round-trips exactly, so the
+    digest is the same across processes and Python versions."""
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+
+    def __call__(self, record: TraceRecord) -> None:
+        self._sha.update(repr((record.time, record.source, record.kind,
+                               sorted(record.info.items()))).encode())
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()[:16]
 
 
 def parse_filters(specs: Iterable[str]) -> Dict[str, List[str]]:

@@ -17,11 +17,7 @@ sequential loop.  This module is the parallel executor behind its
   ``ProcessPoolExecutor`` (``jobs=1`` stays in-process, byte-identical
   to the historical serial loop) and returns outcomes in input order,
   so tables, golden checks and fingerprints are independent of
-  completion order;
-* results can be cached per cell, keyed on ``(spec JSON, backend,
-  allocator, topology, metrics, code fingerprint)`` — any source change
-  under ``repro/`` invalidates every entry — with straggler-safe
-  ``flock`` + atomic-rename publishing in the cache directory.
+  completion order.
 
 Workers never write shared files themselves (``benchmarks/results.txt``
 included); all output funnels through the parent via the returned
@@ -30,12 +26,9 @@ outcome dicts.  See ``docs/benchmarks.md``.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
-import json
 import os
-import tempfile
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -67,8 +60,7 @@ class FleetCell:
     smoke: bool = True
     #: Collect the standard metrics probe set into the result payload
     #: (``scenario matrix --metrics``).  Probes are read-only, so the
-    #: fingerprint is unchanged — but the axis is still part of the
-    #: cache key, because the result *payload* differs.
+    #: fingerprint is unchanged.
     metrics: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
@@ -99,8 +91,7 @@ class CellOutcome:
     :meth:`~repro.scenarios.runner.ScenarioResult.to_dict` payload and
     ``failures`` the verdict problems), ``"skip"`` (capability-gated:
     ``reason`` names the incompatibility) or ``"error"`` (``reason`` is
-    the exception, ``traceback`` the full trace).  ``cached`` marks
-    outcomes served from the result cache instead of a fresh run.
+    the exception, ``traceback`` the full trace).
     """
 
     cell: FleetCell
@@ -109,7 +100,6 @@ class CellOutcome:
     failures: List[str] = field(default_factory=list)
     reason: str = ""
     traceback: str = ""
-    cached: bool = False
 
     @property
     def passed(self) -> bool:
@@ -181,15 +171,10 @@ def _worker(cell_data: Dict[str, Any]) -> Dict[str, Any]:
     return run_cell(FleetCell.from_dict(cell_data)).to_dict()
 
 
-# -- result cache ----------------------------------------------------------
-
 def code_fingerprint() -> str:
-    """Digest of every ``repro`` source file (relative path + bytes).
-
-    Part of every cache key: any change anywhere in the package —
-    kernel, backends, specs, this module — invalidates every cached
-    cell, so the cache can never serve results from stale code.
-    """
+    """Digest of every ``repro`` source file (relative path + bytes):
+    names the exact code a measurement ran (the perf harness records it
+    in each run header)."""
     import repro
 
     root = os.path.dirname(os.path.abspath(repro.__file__))
@@ -206,74 +191,9 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def cache_key(cell: FleetCell, code_fp: str) -> str:
-    """The cache key: resolved spec JSON + every run axis + code digest
-    (the resolved spec covers smoke scaling and topology overrides)."""
-    payload = json.dumps({
-        "spec": cell.resolve_spec().to_dict(),
-        "backend": cell.backend,
-        "allocator": cell.allocator,
-        "topology": cell.topology,
-        "metrics": cell.metrics,
-        "code": code_fp,
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
-
-
-@contextlib.contextmanager
-def _locked(lock_path: str):
-    """Exclusive advisory lock, straggler-safe: ``flock`` is released
-    by the kernel when the holder dies, so a crashed worker can never
-    wedge the cache directory."""
-    import fcntl
-
-    fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)  # closing drops the flock
-
-
-class FleetCache:
-    """Per-cell result cache: one JSON file per cache key.
-
-    Writes publish via temp-file + ``os.replace`` under a per-key
-    ``flock``, so readers only ever see complete entries; unreadable or
-    truncated files are treated as misses and overwritten.
-    """
-
-    def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key + ".json")
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._path(key)) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    def store(self, key: str, payload: Dict[str, Any]) -> None:
-        with _locked(self._path(key) + ".lock"):
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-
-
 # -- the fleet -------------------------------------------------------------
 
-def run_fleet(cells: Sequence[FleetCell], jobs: int = 1,
-              cache_dir: Optional[str] = None) -> List[CellOutcome]:
+def run_fleet(cells: Sequence[FleetCell], jobs: int = 1) -> List[CellOutcome]:
     """Run every cell and return outcomes in input order.
 
     ``jobs=1`` executes in-process, sequentially — the exact behaviour
@@ -282,64 +202,29 @@ def run_fleet(cells: Sequence[FleetCell], jobs: int = 1,
     independent simulation with its own RNG seeds, so parallel outcomes
     are bit-identical to serial ones (asserted by
     ``tests/scenarios/test_fleet.py`` and ``benchmarks/bench_fleet.py``).
-
-    With ``cache_dir``, ``ok``/``skip`` outcomes are persisted keyed on
-    :func:`cache_key` and replayed on later runs (``cached=True``);
-    ``error`` outcomes are never cached, so transient failures (OOM,
-    interrupts) retry next time.
     """
     cells = list(cells)
-    cache = FleetCache(cache_dir) if cache_dir else None
-    code_fp = code_fingerprint() if cache else ""
+    if jobs <= 1 or len(cells) <= 1:
+        return [run_cell(cell) for cell in cells]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    pending = []
-    for index, cell in enumerate(cells):
-        key = None
-        if cache is not None:
+    context = multiprocessing.get_context("spawn")
+    workers = min(jobs, len(cells))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=context) as pool:
+        futures = {pool.submit(_worker, cell.to_dict()): (index, cell)
+                   for index, cell in enumerate(cells)}
+        for future in as_completed(futures):
+            index, cell = futures[future]
             try:
-                key = cache_key(cell, code_fp)
-            except Exception:
-                key = None  # unresolvable spec: the worker reports it
-            hit = cache.load(key) if key else None
-            if hit is not None:
-                try:
-                    outcome = CellOutcome.from_dict(hit)
-                except (KeyError, TypeError):
-                    outcome = None  # stale schema: rerun
-                if outcome is not None:
-                    outcome.cached = True
-                    outcomes[index] = outcome
-                    continue
-        pending.append((index, cell, key))
-
-    def publish(index, key, outcome):
-        outcomes[index] = outcome
-        if cache is not None and key and outcome.status != "error":
-            cache.store(key, outcome.to_dict())
-
-    if jobs <= 1 or len(pending) <= 1:
-        for index, cell, key in pending:
-            publish(index, key, run_cell(cell))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        context = multiprocessing.get_context("spawn")
-        workers = min(jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            futures = {pool.submit(_worker, cell.to_dict()): (index, cell,
-                                                              key)
-                       for index, cell, key in pending}
-            for future in as_completed(futures):
-                index, cell, key = futures[future]
-                try:
-                    outcome = CellOutcome.from_dict(future.result())
-                except Exception as error:
-                    # The worker process itself died (e.g. OOM-killed):
-                    # still one ERROR row, not a lost table.
-                    outcome = CellOutcome(
-                        cell, "error",
-                        reason=f"worker failed: {error!r}")
-                publish(index, key, outcome)
+                outcome = CellOutcome.from_dict(future.result())
+            except Exception as error:
+                # The worker process itself died (e.g. OOM-killed):
+                # still one ERROR row, not a lost table.
+                outcome = CellOutcome(
+                    cell, "error",
+                    reason=f"worker failed: {error!r}")
+            outcomes[index] = outcome
     return outcomes

@@ -28,6 +28,19 @@ by hand too, from ``scenario matrix --names <cells>`` without
 ``--smoke``; ``--update-golden`` only rewrites the smoke table, which
 must stay the last statement of this file.
 
+The fingerprints hash per-link flit counts, so they cannot see the
+*order* in which the same work happened.  Three order-digest tables pin
+that too: ``SMOKE_ORDER_DIGESTS`` (the registry cells at smoke),
+``BACKEND_SMOKE_ORDER_DIGESTS`` (the same cells as
+``BACKEND_SMOKE_FINGERPRINTS``) and ``FULL_ORDER_DIGESTS`` (the four GS
+cells at full duration).  Each is the
+:class:`~repro.obs.trace.OrderDigestSink` hash of the run's trace
+records in emission order, recorded by hand; ``--update-golden`` does
+not touch them.  "Same behaviour" means the same link counts *and* the
+same event order: a changed fingerprint means different hops, a
+changed order digest with the same fingerprint means the same hops in a
+different order.
+
 The determinism tests assert these digests are reproduced bit-identically
 across hosts, with full observability on (metrics, tracing, profiling),
 and across ``retain_packets`` True/False — a changed digest means the
@@ -37,8 +50,9 @@ event.
 
 from typing import Dict
 
-__all__ = ["BACKEND_SMOKE_FINGERPRINTS", "FULL_FINGERPRINTS",
-           "SMOKE_FINGERPRINTS"]
+__all__ = ["BACKEND_SMOKE_FINGERPRINTS", "BACKEND_SMOKE_ORDER_DIGESTS",
+           "FULL_FINGERPRINTS", "FULL_ORDER_DIGESTS", "SMOKE_FINGERPRINTS",
+           "SMOKE_ORDER_DIGESTS"]
 
 #: Non-MANGO backends on the two conformance smoke cells
 #: (backend -> scenario -> digest).  Hand-recorded; see module docstring.
@@ -97,6 +111,76 @@ FULL_FINGERPRINTS: Dict[str, str] = {
     "ring-uni-cbr-4x4": "f69857233b85c56e",
     "routerless-cbr-8x8": "3c597a6c94fc9321",
     "routerless-hotspot-4x4": "ae7e7b0ad70f0b6d",
+}
+
+#: Trace-record order on the backend conformance cells (backend ->
+#: scenario -> order digest).  Hand-recorded; see module docstring.
+BACKEND_SMOKE_ORDER_DIGESTS: Dict[str, Dict[str, str]] = {
+    "generic-vc": {
+        "be-uniform-4x4": "d2657641de123202",
+        "gs-cbr-4x4-uniform": "c5233e5ebf41032c",
+    },
+    "tdm": {
+        "be-uniform-4x4": "da6b83408d81bf73",
+        "gs-cbr-4x4-uniform": "7b8db2f8569aaea2",
+    },
+    "priority": {
+        "be-uniform-4x4": "2561c789e786629a",
+        "gs-cbr-4x4-uniform": "b5a6ed3ccc1b2f9d",
+    },
+}
+
+#: Trace-record order of the GS cells at full duration on their default
+#: backend (scenario -> order digest).  Hand-recorded.
+FULL_ORDER_DIGESTS: Dict[str, str] = {
+    "corner-streams-8x8": "ed44c746818fe0c4",
+    "gs-cbr-4x4-uniform": "3fad2b45335dd659",
+    "gs-churn-8x8": "5451f0d4bad0b6f5",
+    "gs-under-saturation-8x8": "57c35bf474cef084",
+}
+
+#: Trace-record order of every registry cell at smoke on its default
+#: backend (scenario -> order digest).  Hand-recorded.
+SMOKE_ORDER_DIGESTS: Dict[str, str] = {
+    "be-bit-complement-4x4": "dc6448ef38995ba8",
+    "be-bit-complement-8x8": "72aa14fbdd1a9a34",
+    "be-hotspot-16x16": "27ccb5ab4918e951",
+    "be-hotspot-4x4": "acfd3305bfa1ae90",
+    "be-hotspot-8x8": "64ea29220e86758c",
+    "be-local-uniform-16x16": "8d9db7b0c4a29d30",
+    "be-nearest-neighbor-4x4": "ad599cf290decc08",
+    "be-nearest-neighbor-8x8": "1efc0c9866299e14",
+    "be-transpose-16x16": "5506851a6d01b464",
+    "be-transpose-4x4": "d142825c1ef222f0",
+    "be-transpose-8x8": "a90881c56d7848a5",
+    "be-uniform-16x16": "328be0d62e02ae2d",
+    "be-uniform-4x4": "2561c789e786629a",
+    "be-uniform-8x8": "cf735a16eed96a24",
+    "chained-route-17x1": "6969ddd7c76f373a",
+    "corner-streams-6x6": "c89198d78f1b7380",
+    "corner-streams-8x8": "454877d821c3be4f",
+    "failure-malformed-config-2x2": "0a24dd18c6f0decb",
+    "failure-malformed-config-4x4-under-load": "39523d61e1b82d3d",
+    "failure-orphan-flit-4x4": "2701e72d9ca1b417",
+    "gs-bursty-hotspot-4x4": "519d58c4df14e2e6",
+    "gs-bursty-video-8x8": "269f5d06c61e521d",
+    "gs-cbr-16x16-corners": "7fceb4e1fd9be145",
+    "gs-cbr-16x16-local": "8d0e01b524e36df6",
+    "gs-cbr-4x4-uniform": "b5a6ed3ccc1b2f9d",
+    "gs-cbr-8x8-transpose": "f0ee8bb82d5f5ec4",
+    "gs-churn-8x8": "71bb357fa1e555ac",
+    "gs-churn-saturated-16x16": "8da11bd9f4032d7f",
+    "gs-many-conns-6x6": "bef65a78d7e8424a",
+    "gs-under-saturation-4x4": "64ad538b77e7f202",
+    "gs-under-saturation-8x8": "26443b48397b1c2e",
+    "gs-under-saturation-hotspot-8x8": "438b0b36129cc311",
+    "hring-cbr-8x8": "6ed1de7b347415e8",
+    "ring-cbr-8x8": "235397966af04fab",
+    "ring-uni-cbr-4x4": "4c8747318e2664f4",
+    "routerless-cbr-8x8": "6e9efbe11a11fd8b",
+    "routerless-hotspot-4x4": "b12032fc17701213",
+    "soak-ring-8x8": "cd9e96e3671e282f",
+    "soak-uniform-8x8": "4aa1bd1f4dbfffa1",
 }
 
 SMOKE_FINGERPRINTS: Dict[str, str] = {

@@ -2,32 +2,27 @@
 
 from .kernel import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     Simulator,
     SimulationError,
     Timeout,
 )
-from .resources import Gate, Resource, Signal, Store
+from .resources import Gate, Resource, Store
 from .handshake import HandshakeChannel, PipelineChain, PipelineStage
 from .tracing import NULL_TRACER, NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Gate",
     "HandshakeChannel",
-    "Interrupt",
     "NULL_TRACER",
     "NullTracer",
     "PipelineChain",
     "PipelineStage",
     "Process",
     "Resource",
-    "Signal",
     "Simulator",
     "SimulationError",
     "Store",

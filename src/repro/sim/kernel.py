@@ -27,9 +27,10 @@ Hot-path design notes (the kernel dominates large-mesh runtime):
 * :meth:`Simulator.defer` schedules a plain ``fn(*args)`` with no
   :class:`Event` allocation at all — links use it for flit delivery and
   unlock/credit wires, the highest-volume scheduling in the system.
-* :meth:`Simulator._drain` is the *only* drive loop: :meth:`Simulator.run`
-  and :meth:`Simulator.run_until_triggered` are thin wrappers over it (via
-  :meth:`Simulator.run_batch`), never separate stepping paths.
+* :meth:`Simulator._drain` (with its profiled twin) is the *only* drive
+  loop: :meth:`Simulator.run`, :meth:`Simulator.run_until_triggered` and
+  :meth:`Simulator.run_process` are thin wrappers over it, never separate
+  stepping paths.
 * ``events_processed`` counts *logical* events dispatched: heap
   entries, synchronous :func:`fire` deliveries, inline consumptions of
   already-processed events, and wire hops condensed away by link-segment
@@ -50,10 +51,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Simulator",
     "SimulationError",
-    "AnyOf",
     "AllOf",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
@@ -104,14 +103,6 @@ def fire(event: "Event", value: Any = None) -> None:
 
 class SimulationError(Exception):
     """Raised for kernel-level protocol violations (double trigger, etc.)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -175,7 +166,7 @@ class Event:
         """Trigger the event as failed; waiters get ``exception`` thrown.
 
         Accepts the same ``priority`` as :meth:`succeed`, so failure
-        callbacks can be ordered against urgent interrupts at the same
+        callbacks can be ordered against urgent events at the same
         timestamp.
         """
         if self._value is not _PENDING:
@@ -258,51 +249,24 @@ class Timeout(Event):
         sim._push((sim._now + delay, PRIORITY_NORMAL, seq, self))
 
 
-class _ConditionValue:
-    """Mapping of events to values for AnyOf/AllOf results."""
+class AllOf(Event):
+    """Succeeds (with ``None``) once every child event has succeeded;
+    fails with the first child failure, which it takes over."""
 
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events: dict = {}
-
-    def __getitem__(self, event):
-        return self.events[event]
-
-    def __contains__(self, event):
-        return event in self.events
-
-    def __len__(self):
-        return len(self.events)
-
-    def todict(self) -> dict:
-        return dict(self.events)
-
-
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
-
-    __slots__ = ("_events", "_count")
+    __slots__ = ("_waiting",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
+        events = list(events)
+        for event in events:
             if event.sim is not sim:
                 raise SimulationError("condition mixes simulators")
-        if not self._events:
-            self.succeed(_ConditionValue())
+        self._waiting = len(events)
+        if not events:
+            self.succeed()
             return
-        for event in self._events:
+        for event in events:
             event.add_callback(self._check)
-
-    def _collect(self) -> _ConditionValue:
-        result = _ConditionValue()
-        for event in self._events:
-            if event._value is not _PENDING and event._ok:
-                result.events[event] = event._value
-        return result
 
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
@@ -311,30 +275,9 @@ class _Condition(Event):
             event._defused = True  # the condition takes over the failure
             self.fail(event._value)
             return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers when any child event succeeds."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Triggers when all child events have succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self._events)
+        self._waiting -= 1
+        if not self._waiting:
+            self.succeed()
 
 
 class Process(Event):
@@ -345,7 +288,7 @@ class Process(Event):
     each other.
     """
 
-    __slots__ = ("_generator", "_target", "_resume", "name")
+    __slots__ = ("_generator", "_resume", "name")
 
     def __init__(self, sim: "Simulator",
                  generator: Generator[Event, Any, Any],
@@ -354,7 +297,6 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator")
         self._generator = generator
-        self._target: Optional[Event] = None
         # One bound method reused for every park/notify instead of a fresh
         # bound-method object per yield.
         self._resume = self._do_resume
@@ -368,32 +310,10 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING:
-            raise SimulationError("cannot interrupt a finished process")
-        poke = Event(self.sim)
-        poke._ok = False
-        poke._value = Interrupt(cause)
-        poke.callbacks = self._resume
-        self.sim._enqueue(poke, 0.0, PRIORITY_URGENT)
-
     def _do_resume(self, event: Event) -> None:
-        # If we were waiting on another event, detach from it (relevant for
-        # interrupts arriving while blocked).
+        # Only the event this process parked on (or the shared boot
+        # event) resumes it, so there is no other wait to detach from.
         resume = self._resume
-        target = self._target
-        if target is not None:
-            cbs = target.callbacks
-            if cbs is resume:
-                target.callbacks = None
-            elif type(cbs) is list:
-                try:
-                    cbs.remove(resume)
-                except ValueError:
-                    pass
-            self._target = None
-
         generator = self._generator
         send = generator.send
         throw = generator.throw
@@ -440,7 +360,6 @@ class Process(Event):
                     cbs.append(resume)
                 else:
                     next_event.callbacks = [cbs, resume]
-                self._target = next_event
                 return
             # Already processed: consume its value immediately.  This is
             # a logical event delivered without a heap round-trip
@@ -505,9 +424,6 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -539,27 +455,21 @@ class Simulator:
 
     # -- the event loop ----------------------------------------------------
 
-    def _drain(self, until: float, max_entries: Optional[int],
-               stop_event: Optional[Event]) -> int:
-        """Dispatch heap entries with time <= ``until``.
-
-        Stops early after ``max_entries`` dispatches or once
-        ``stop_event`` has triggered.  Returns the number dispatched.
-        This single tight loop backs every public drive method.
+    def _drain(self, until: float, stop_event: Optional[Event]) -> None:
+        """Dispatch heap entries with time <= ``until``, stopping early
+        once ``stop_event`` has triggered.  This single tight loop backs
+        every public drive method.
         """
         if self.profile is not None:
-            return self._drain_profiled(until, max_entries, stop_event)
+            self._drain_profiled(until, stop_event)
+            return
         heap = self._heap
         count = 0
-        bounded = max_entries is not None or stop_event is not None
         try:
             while heap and heap[0][0] <= until:
-                if bounded:
-                    if count == max_entries:
-                        break
-                    if stop_event is not None and \
-                            stop_event._value is not _PENDING:
-                        break
+                if stop_event is not None and \
+                        stop_event._value is not _PENDING:
+                    break
                 entry = heappop(heap)
                 self._now = entry[0]
                 count += 1
@@ -581,10 +491,9 @@ class Simulator:
                     raise event._value
         finally:
             self.events_processed += count
-        return count
 
-    def _drain_profiled(self, until: float, max_entries: Optional[int],
-                        stop_event: Optional[Event]) -> int:
+    def _drain_profiled(self, until: float,
+                        stop_event: Optional[Event]) -> None:
         """Instrumented twin of :meth:`_drain`: identical dispatch order,
         but every callback/deferred call is timed and attributed to its
         *site* through ``self.profile``.  Time the loop spends outside
@@ -601,17 +510,13 @@ class Simulator:
         record = profile.record
         heap = self._heap
         count = 0
-        bounded = max_entries is not None or stop_event is not None
         t_loop = perf_counter()
         dispatched_s = 0.0
         try:
             while heap and heap[0][0] <= until:
-                if bounded:
-                    if count == max_entries:
-                        break
-                    if stop_event is not None and \
-                            stop_event._value is not _PENDING:
-                        break
+                if stop_event is not None and \
+                        stop_event._value is not _PENDING:
+                    break
                 entry = heappop(heap)
                 self._now = entry[0]
                 count += 1
@@ -645,43 +550,19 @@ class Simulator:
         finally:
             self.events_processed += count
             profile.overhead(perf_counter() - t_loop - dispatched_s)
-        return count
-
-    def step(self) -> None:
-        """Process one event (advance time to it, run its callbacks)."""
-        if not self._heap:
-            raise SimulationError("step() on an empty event queue")
-        self._drain(_INF, 1, None)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
 
-        A thin wrapper over :meth:`run_batch` (and thereby the single
-        :meth:`_drain` loop) — no separate stepping path.
-        """
-        self.run_batch(until=until)
-
-    def run_batch(self, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> int:
-        """Deadline-driven stepping: dispatch up to ``max_events`` entries
-        with time <= ``until`` and return how many ran.
-
-        The clock only advances to ``until`` once everything due by then
-        has been dispatched, so callers can pump the loop in slices::
-
-            while sim.run_batch(deadline, max_events=10_000):
-                ...  # interleave host-side work per batch
-
-        Returns 0 when nothing is left before the deadline.
+        Dispatches everything due at or before ``until``, then sets the
+        clock to ``until``, so callers can drive the loop in slices.
         """
         limit = _INF if until is None else until
         if limit < self._now:
             raise SimulationError(f"until={until} is before now={self._now}")
-        count = self._drain(limit, max_events, None)
-        if until is not None and self.peek() > until:
-            if self._now < until:
-                self._now = until
-        return count
+        self._drain(limit, None)
+        if until is not None and self._now < until:
+            self._now = until
 
     def run_until_triggered(self, event: Event,
                             max_ns: Optional[float] = None) -> bool:
@@ -696,7 +577,7 @@ class Simulator:
         if limit < self._now:
             raise SimulationError(
                 f"max_ns={max_ns} is before now={self._now}")
-        self._drain(limit, None, event)
+        self._drain(limit, event)
         return event._value is not _PENDING
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
@@ -705,7 +586,7 @@ class Simulator:
         # run_process observes the outcome itself, so a failure is not an
         # "unhandled" one — it is re-raised below, at the call site.
         proc._defused = True
-        self._drain(_INF, None, proc)
+        self._drain(_INF, proc)
         if proc._value is _PENDING:
             raise SimulationError(
                 f"deadlock: process {proc.name!r} never finished")

@@ -1,11 +1,9 @@
-"""Blocking resources built on the kernel: stores, signals, gates, mutexes.
+"""Blocking resources built on the kernel: stores, gates, mutexes.
 
 These model the storage and wiring primitives of the clockless router:
 
 * :class:`Store` — a capacity-bounded FIFO (VC buffers, unshare latches,
   BE queues are Stores of capacity 1..N).
-* :class:`Signal` — a re-armable pulse; models a transition-signalled wire
-  such as the per-VC *unlock* wire of the share-based VC control scheme.
 * :class:`Gate` — a level wire that processes can wait to see open.
 * :class:`Resource` — FIFO mutual exclusion (used in baseline routers where
   a shared crossbar *is* arbitrated, unlike MANGO's non-blocking switch).
@@ -18,7 +16,7 @@ from typing import Any, Optional
 
 from .kernel import Event, Simulator, SimulationError, fire
 
-__all__ = ["Store", "Signal", "Gate", "Resource"]
+__all__ = ["Store", "Gate", "Resource"]
 
 
 class Store:
@@ -44,7 +42,6 @@ class Store:
         self._getters: Optional[deque] = None
         self._putters: Optional[deque] = None  # (event, item)
         self._peekers: Optional[deque] = None
-        self._space_waiters: Optional[deque] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -92,8 +89,6 @@ class Store:
             item = self.items.popleft()
             if self._putters:
                 self._admit_writers()
-            if self._space_waiters:
-                self._wake_space_waiters()
             return Event.completed(self.sim, item)
         event = Event(self.sim)
         if self._getters is None:
@@ -108,24 +103,7 @@ class Store:
         item = self.items.popleft()
         if self._putters:
             self._admit_writers()
-        if self._space_waiters:
-            self._wake_space_waiters()
         return item
-
-    def when_space(self) -> Event:
-        """Event that fires once the store has a free slot (immediately if
-        one exists now).  Pure notification: nothing is reserved."""
-        if len(self.items) < self.capacity:
-            return Event.completed(self.sim)
-        event = Event(self.sim)
-        if self._space_waiters is None:
-            self._space_waiters = deque()
-        self._space_waiters.append(event)
-        return event
-
-    def _wake_space_waiters(self) -> None:
-        while self._space_waiters and len(self.items) < self.capacity:
-            fire(self._space_waiters.popleft())
 
     def when_any(self) -> Event:
         """Event that fires (with the head item, not removed) once the
@@ -167,32 +145,6 @@ class Store:
         return (f"<Store {self.name!r} {len(self.items)}/{self.capacity} "
                 f"getters={len(self._getters or ())} "
                 f"putters={len(self._putters or ())}>")
-
-
-class Signal:
-    """A re-armable pulse: every ``pulse`` wakes all *current* waiters.
-
-    Models transition signalling on a single wire (e.g. the unlock wire of
-    the sharebox scheme): a waiter that subscribes after a pulse does not
-    see that pulse.
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._waiters: list = []
-        self.pulse_count = 0
-
-    def wait(self) -> Event:
-        event = Event(self.sim)
-        self._waiters.append(event)
-        return event
-
-    def pulse(self, value: Any = None) -> None:
-        self.pulse_count += 1
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed(value)
 
 
 class Gate:

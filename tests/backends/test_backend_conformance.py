@@ -6,12 +6,15 @@ Three layers of guarantees:
   from the top-level package;
 * **determinism** — each backend reproduces its golden flit-hop
   fingerprint bit-identically with full observability on and across
-  retained-vs-streaming collectors (the same contract the MANGO
-  goldens have);
+  retained-vs-streaming collectors, and emits its trace records in the
+  golden order (the same contract the MANGO goldens have);
 * **the Section 4.1 verdict** — the same saturation cell passes its GS
   contract on ``mango`` and measurably violates it on ``generic-vc``:
   the paper's central comparative claim as an executable assertion.
 """
+
+import collections
+import functools
 
 import pytest
 
@@ -22,9 +25,11 @@ from repro.backends import (BackendCapabilityError, RouterBackend,
 from repro.core.config import RouterConfig
 from repro.network.connection import AdmissionError
 from repro.network.topology import Coord
-from repro.obs import CallSiteProfiler, ChromeTraceSink, ObsConfig
+from repro.obs import (CallSiteProfiler, ChromeTraceSink, ObsConfig,
+                       OrderDigestSink)
 from repro.scenarios import ScenarioRunner, get
 from repro.scenarios.golden import (BACKEND_SMOKE_FINGERPRINTS,
+                                    BACKEND_SMOKE_ORDER_DIGESTS,
                                     SMOKE_FINGERPRINTS)
 from repro.scenarios.runner import LATENCY_SLACK_CYCLES
 from repro.sim.tracing import Tracer
@@ -39,6 +44,29 @@ SATURATION_CELL = "gs-under-saturation-hotspot-8x8"
 
 def _run(name, backend, **kwargs):
     return ScenarioRunner(get(name).smoke(), backend=backend).run(**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _observed_run(backend, name):
+    """One smoke run with metrics, tracing and profiling all on (cached,
+    so each cell runs once for every test below): the result, the trace
+    tags as ``{(service, kind): Counter(tag)}`` and the order digest."""
+    chrome, digest = ChromeTraceSink(), OrderDigestSink()
+    keys = collections.defaultdict(collections.Counter)
+
+    def sink(record):
+        chrome(record)
+        digest(record)
+        tag = record.info.get("flit")
+        if tag is not None:
+            service = "gs" if tag.startswith("c") else "be"
+            keys[service, record.kind][tag] += 1
+
+    obs = ObsConfig(metrics=True, tracer=Tracer(sink=sink),
+                    profile=CallSiteProfiler())
+    result = ScenarioRunner(get(name).smoke(), backend=backend,
+                            obs=obs).run()
+    return result, keys, digest.hexdigest()
 
 
 class TestRegistry:
@@ -86,13 +114,37 @@ class TestGoldenFingerprints:
         """Metrics, tracing and profiling all on must still pass and
         dispatch exactly the same work on every backend, not just on
         MANGO."""
-        obs = ObsConfig(metrics=True, tracer=Tracer(sink=ChromeTraceSink()),
-                        profile=CallSiteProfiler())
-        result = ScenarioRunner(get(name).smoke(), backend=backend,
-                                obs=obs).run()
+        result, _keys, _digest = _observed_run(backend, name)
         assert result.passed, result.failures()
         assert result.fingerprint == \
             BACKEND_SMOKE_FINGERPRINTS[backend][name]
+
+    @pytest.mark.parametrize("backend", sorted(BACKEND_SMOKE_FINGERPRINTS))
+    @pytest.mark.parametrize("name", CONFORMANCE_CELLS)
+    def test_full_observability_matches_order_digest(self, backend, name):
+        """The same run emits its trace records in the golden order."""
+        result, _keys, digest = _observed_run(backend, name)
+        same_hops = (result.fingerprint ==
+                     BACKEND_SMOKE_FINGERPRINTS[backend][name])
+        assert digest == BACKEND_SMOKE_ORDER_DIGESTS[backend][name], \
+            "same hops, different order" if same_hops else "different hops"
+
+    @pytest.mark.parametrize("name", CONFORMANCE_CELLS)
+    def test_tdm_trace_pairs_keys_and_counts_every_hop(self, name):
+        """Every injected BE key reaches one eject, every GS tag is
+        ejected once for its one inject, and there is one ``hop`` record
+        per link crossing the fingerprint counts."""
+        result, keys, _digest = _observed_run("tdm", name)
+        injected = set(keys["be", "inject"])
+        assert injected
+        assert set(keys["be", "eject"]) == injected
+        assert set(keys["be", "eject"].values()) == {1}
+        assert set(keys["be", "hop"]) <= injected
+        assert keys["gs", "eject"] == keys["gs", "inject"]
+        assert set(keys["gs", "inject"].values()) <= {1}
+        hops = sum(keys["be", "hop"].values()) + \
+            sum(keys["gs", "hop"].values())
+        assert hops == result.flit_hops
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_SMOKE_FINGERPRINTS))
     def test_retain_packets_flip_matches_golden(self, backend):

@@ -52,7 +52,7 @@ class TestShareLoopCycleTime:
                 # and fires the unlock.
                 yield unshare.latch.when_any()
                 yield sim.timeout(transfer_ns)
-                flit = yield unshare.take()
+                flit = unshare.leave()
                 grants.append((sim.now, flit))
 
         n = 10

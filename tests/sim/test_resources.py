@@ -1,10 +1,10 @@
-"""Unit tests for stores, signals, gates and resources."""
+"""Unit tests for stores, gates and resources."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.resources import Gate, Resource, Signal, Store
+from repro.sim.resources import Gate, Resource, Store
 
 
 @pytest.fixture
@@ -144,49 +144,6 @@ class TestStorePeekAndSpace:
 
         assert sim.run_process(proc()) == 1
 
-    def test_when_space_immediate_when_free(self, sim):
-        store = Store(sim, capacity=1)
-
-        def proc():
-            yield store.when_space()
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
-
-    def test_when_space_waits_for_get(self, sim):
-        store = Store(sim, capacity=1)
-        store.try_put("block")
-        log = []
-
-        def watcher():
-            yield store.when_space()
-            log.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(3.0)
-            yield store.get()
-
-        sim.process(watcher())
-        sim.process(consumer())
-        sim.run()
-        assert log == [3.0]
-
-    def test_when_space_woken_by_try_get(self, sim):
-        store = Store(sim, capacity=1)
-        store.try_put("x")
-        log = []
-
-        def watcher():
-            yield store.when_space()
-            log.append(sim.now)
-
-        sim.process(watcher())
-        sim.run()
-        assert log == []
-        store.try_get()
-        sim.run()
-        assert log == [0.0]
-
     @given(st.lists(st.integers(), min_size=1, max_size=30),
            st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
@@ -207,56 +164,6 @@ class TestStorePeekAndSpace:
         sim.process(consumer())
         sim.run()
         assert received == items
-
-
-class TestSignal:
-    def test_pulse_wakes_current_waiters(self, sim):
-        signal = Signal(sim)
-        log = []
-
-        def waiter(tag):
-            value = yield signal.wait()
-            log.append((tag, value))
-
-        sim.process(waiter("a"))
-        sim.process(waiter("b"))
-        sim.run()
-        signal.pulse("go")
-        sim.run()
-        assert sorted(log) == [("a", "go"), ("b", "go")]
-
-    def test_late_waiter_misses_pulse(self, sim):
-        signal = Signal(sim)
-        signal.pulse()
-        log = []
-
-        def waiter():
-            yield signal.wait()
-            log.append("woke")
-
-        sim.process(waiter())
-        sim.run()
-        assert log == []
-        assert signal.pulse_count == 1
-
-    def test_repeated_pulses(self, sim):
-        signal = Signal(sim)
-        log = []
-
-        def waiter():
-            for _ in range(3):
-                yield signal.wait()
-                log.append(sim.now)
-
-        def pulser():
-            for _ in range(3):
-                yield sim.timeout(1.0)
-                signal.pulse()
-
-        sim.process(waiter())
-        sim.process(pulser())
-        sim.run()
-        assert log == [1.0, 2.0, 3.0]
 
 
 class TestGate:

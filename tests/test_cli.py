@@ -45,6 +45,16 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    def test_removed_cache_dir_flag_exits_two(self, tmp_path, capsys):
+        """The fleet result cache is gone: ``--jobs`` is what makes the
+        matrix fast."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "matrix", "--smoke",
+                  "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cache-dir" in \
+            capsys.readouterr().err
+
     def test_module_docstring_lists_every_command(self):
         import argparse
 
@@ -289,24 +299,9 @@ class TestFleetCli:
         assert parallel_out == serial_out
         assert "2/2 scenarios passed" in parallel_out
 
-    def test_matrix_cache_dir_reports_cached_cells(self, tmp_path,
-                                                   capsys):
-        args = ["scenario", "matrix", "--smoke",
-                "--names", "be-uniform-4x4",
-                "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "(1 cached:" in capsys.readouterr().out
-
     def test_jobs_refused_outside_matrix(self, capsys):
         assert main(["scenario", "run", "be-uniform-4x4", "--smoke",
                      "--jobs", "2"]) == 2
-        assert "only applies to 'matrix'" in capsys.readouterr().err
-
-    def test_cache_dir_refused_outside_matrix(self, tmp_path, capsys):
-        assert main(["scenario", "list",
-                     "--cache-dir", str(tmp_path)]) == 2
         assert "only applies to 'matrix'" in capsys.readouterr().err
 
     def test_nonpositive_jobs_refused(self, capsys):
@@ -684,9 +679,8 @@ class TestObservabilityCli:
 
 class TestFrontDoor:
     """A malformed or misplaced flag exits 2 with one stderr line naming
-    the flag: never a traceback, never silently wrong output.  ``{file}``
-    is an existing regular file and ``{missing}`` a path in a directory
-    that does not exist."""
+    the flag: never a traceback, never silently wrong output.
+    ``{missing}`` is a path in a directory that does not exist."""
 
     TRACE = ["trace", "run", "be-uniform-4x4"]
     RUN = ["scenario", "run", "be-uniform-4x4", "--smoke"]
@@ -713,8 +707,6 @@ class TestFrontDoor:
         (RUN + ["--update-golden"], "--update-golden"),
         (MATRIX + ["--names", ","], "--names"),
         (MATRIX + ["--names", ""], "--names"),
-        (MATRIX + ["--names", "be-uniform-4x4", "--cache-dir", "{file}"],
-         "--cache-dir"),
         (["alloc", "demand-set", "greedy-trap-3x3", "--out", "{missing}"],
          "--out"),
         (["alloc", "report", "--demands", "{missing}"], "--demands"),
@@ -731,10 +723,7 @@ class TestFrontDoor:
                                   for argv, _ in CASES])
     def test_bad_value_exits_two_naming_the_flag(self, argv, flag,
                                                  tmp_path, capsys):
-        a_file = tmp_path / "a-file"
-        a_file.write_text("")
-        paths = {"{file}": str(a_file),
-                 "{missing}": str(tmp_path / "no-such-dir" / "out.json")}
+        paths = {"{missing}": str(tmp_path / "no-such-dir" / "out.json")}
         argv = [paths.get(arg, arg) for arg in argv]
         try:
             code = main(argv)
