@@ -355,7 +355,6 @@ def cmd_scenario(args) -> int:
                         f"backend {backend_label})")
     failed = []
     skipped = 0
-    errored = 0
     fingerprints = {}
     for name, outcome in zip(selected, outcomes):
         if outcome.status == "skip":
@@ -368,7 +367,6 @@ def cmd_scenario(args) -> int:
         if outcome.status == "error":
             # A crashing cell is one ERROR row (and a non-zero exit),
             # never an aborted matrix losing the partial table.
-            errored += 1
             failed.append((name, [f"ERROR: {outcome.reason}"]))
             table.add_row(name, fabric(get(name)),
                           "-", "-", "-", "-", "ERROR")

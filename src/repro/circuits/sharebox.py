@@ -6,14 +6,20 @@ media into the :class:`Unsharebox` latch at the far side; when the flit
 leaves the unsharebox the unlock wire toggles, unlocking the sharebox.  As
 long as the media itself is deadlock-free, no flit ever stalls inside it —
 the key property that makes the MANGO switching module non-blocking.
+
+The sharebox is the model's one flow-control window: a count of free
+places downstream.  The paper's share scheme is a window of 1.  The
+credit-based scheme Section 4.3 compares it with is the same count with
+a window of ``credit_window``, and Section 5's per-hop BE credits are a
+window of ``be_buffer_depth``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from collections import deque
+from typing import Any, Callable
 
-from ..sim.kernel import Event, Simulator, SimulationError
-from ..sim.resources import Gate, Store
+from ..sim.kernel import Event, Simulator, SimulationError, fire
 
 __all__ = ["Sharebox", "Unsharebox", "ShareProtocolError"]
 
@@ -24,86 +30,102 @@ class ShareProtocolError(SimulationError):
 
 
 class Sharebox:
-    """Admission gate for one VC onto the shared media.
+    """Admission window of one sender onto the shared media.
 
-    The box starts unlocked.  ``admit`` locks it; a later ``unlock``
-    (triggered by the downstream unsharebox) re-opens it.  ``wait_unlocked``
-    lets the VC sender block until admission is possible.
+    ``credits`` counts the free places downstream, ``window`` at the
+    start.  ``admit`` takes one as a flit enters the media; ``release``
+    (the unlock toggle or credit from downstream) gives it back.
+    ``wait_ready`` lets the sender block until a place is free; its
+    waiters wake synchronously when the count goes from 0 to 1.
     """
 
-    def __init__(self, sim: Simulator, name: str = "sharebox"):
+    def __init__(self, sim: Simulator, window: int = 1,
+                 name: str = "sharebox"):
+        if window < 1:
+            raise ValueError("a flow-control window must be >= 1")
         self.sim = sim
+        self.window = window
         self.name = name
-        self._gate = Gate(sim, is_open=True, name=f"{name}.gate")
+        self.credits = window
         self.admitted = 0
-        self.unlocks = 0
+        # Created on first wait: a large mesh builds tens of thousands
+        # of windows and most never block.
+        self._waiters = None
 
     @property
-    def locked(self) -> bool:
-        return not self._gate.is_open
+    def ready(self) -> bool:
+        return self.credits > 0
 
-    def wait_unlocked(self) -> Event:
-        return self._gate.wait_open()
+    def wait_ready(self) -> Event:
+        if self.credits:
+            return Event.completed(self.sim)
+        event = Event(self.sim)
+        if self._waiters is None:
+            self._waiters = [event]
+        else:
+            self._waiters.append(event)
+        return event
 
     def admit(self) -> None:
-        """Lock the box as a flit enters the media."""
-        if self.locked:
+        """Take a free place as a flit enters the media."""
+        if not self.credits:
             raise ShareProtocolError(
-                f"{self.name}: admit while locked (two flits on the media)")
+                f"{self.name}: admit with no free place ({self.window} "
+                "flit(s) already on the media)")
+        self.credits -= 1
         self.admitted += 1
-        self._gate.close()
 
-    def unlock(self) -> None:
-        """Unlock toggle arriving from the downstream unsharebox."""
-        if not self.locked:
+    def release(self) -> None:
+        """Unlock toggle (or credit) arriving from downstream."""
+        if self.credits >= self.window:
             raise ShareProtocolError(
-                f"{self.name}: unlock while already unlocked")
-        self.unlocks += 1
-        self._gate.open()
+                f"{self.name}: release while the whole window is free")
+        self.credits += 1
+        if self.credits == 1 and self._waiters:
+            waiters, self._waiters = self._waiters, None
+            for event in waiters:
+                fire(event)
 
 
 class Unsharebox:
     """Latch at the far side of the shared media.
 
-    Capacity one flit.  ``leave`` removes the flit and fires the unlock
-    callback (the VC control module routes the toggle to the right
+    Holds up to ``capacity`` flits: one under the share scheme, the
+    window under credits.  ``leave`` removes the oldest and calls
+    ``on_unlock`` (the VC control module routes the toggle to the right
     upstream sharebox).
     """
 
-    def __init__(self, sim: Simulator, name: str = "unsharebox",
-                 on_unlock: Optional[Callable[[], None]] = None):
-        self.sim = sim
+    def __init__(self, capacity: int, name: str,
+                 on_unlock: Callable[[], None]):
+        self.capacity = capacity
         self.name = name
-        self.latch = Store(sim, capacity=1, name=f"{name}.latch")
-        self._on_unlock: List[Callable[[], None]] = []
-        if on_unlock is not None:
-            self._on_unlock.append(on_unlock)
+        self.latch: deque = deque()
+        self._on_unlock = on_unlock
         self.accepted = 0
         self.departed = 0
 
-    def on_unlock(self, callback: Callable[[], None]) -> None:
-        self._on_unlock.append(callback)
-
     @property
     def occupied(self) -> bool:
-        return not self.latch.is_empty
+        return bool(self.latch)
 
     def accept(self, flit: Any) -> None:
         """Capture an arriving flit; the protocol guarantees space."""
-        if not self.latch.try_put(flit):
+        if len(self.latch) >= self.capacity:
             raise ShareProtocolError(
                 f"{self.name}: flit arrived at an occupied unsharebox "
                 "(share-based protocol violated)")
+        self.latch.append(flit)
         self.accepted += 1
 
     def leave(self) -> Any:
-        """Remove the latched flit now and fire the unlock toggle (the
-        non-blocking departure: the caller knows a flit is latched)."""
-        flit = self.latch.try_get()
-        if flit is None:
+        """Remove the oldest latched flit now and fire the unlock toggle
+        (the non-blocking departure: the caller knows a flit is
+        latched)."""
+        if not self.latch:
             raise ShareProtocolError(
                 f"{self.name}: departure from an empty unsharebox")
+        flit = self.latch.popleft()
         self.departed += 1
-        for callback in self._on_unlock:
-            callback()
+        self._on_unlock()
         return flit

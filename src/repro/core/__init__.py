@@ -13,10 +13,8 @@ from .link_arbiter import (
 )
 from .output_port import (
     BeTxChannel,
-    CreditFlow,
     LocalOutputPort,
     NetworkOutputPort,
-    ShareFlow,
     VcSlot,
 )
 from .programming import (
@@ -48,7 +46,6 @@ __all__ = [
     "ConfigCommand",
     "ConfigFormatError",
     "ConnectionTable",
-    "CreditFlow",
     "FLOW_CONTROL_SCHEMES",
     "FairSharePolicy",
     "LinkArbiter",
@@ -60,7 +57,6 @@ __all__ = [
     "OP_TEARDOWN",
     "ProgrammingInterface",
     "RouterConfig",
-    "ShareFlow",
     "StaticPriorityPolicy",
     "SwitchInventory",
     "SwitchingModule",

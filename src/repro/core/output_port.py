@@ -7,10 +7,13 @@ buffers — only at link access.  Each VC slot holds one flit in the
 unsharebox latch plus one in a single-flit buffer; the unlock toggle fires
 when a flit moves from the unsharebox into the buffer.
 
-The flow-control strategy is pluggable (Section 4.3): share-based (the
-paper's GS scheme — one wire per VC, cheapest) or credit-based (the
-"commonly used" scheme: better average-case at higher cost), so the two
-can be compared on the same link (`benchmarks/bench_vc_control_schemes.py`).
+Every sender on a link spends one flow-control window, a
+:class:`~repro.circuits.sharebox.Sharebox` counting the free places
+downstream (Section 4.3): a window of 1 is the paper's share-based GS
+scheme, ``credit_window`` the "commonly used" credit-based scheme (better
+average case at higher cost, compared on the same link by
+`benchmarks/bench_vc_control_schemes.py`), and ``be_buffer_depth`` the
+per-hop BE credits of Section 5.
 """
 
 from __future__ import annotations
@@ -18,16 +21,14 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..circuits.sharebox import Sharebox, ShareProtocolError, Unsharebox
-from ..network.packet import BeFlit, GsFlit
+from ..network.packet import GsFlit
 from ..network.topology import Direction
 from ..sim.kernel import Event, Simulator
-from ..sim.resources import Gate, Store
+from ..sim.resources import Store
 from .config import RouterConfig
 from .link_arbiter import LinkArbiter
 
 __all__ = [
-    "ShareFlow",
-    "CreditFlow",
     "VcSlot",
     "NetworkOutputPort",
     "LocalOutputPort",
@@ -35,119 +36,45 @@ __all__ = [
 ]
 
 
-class ShareFlow:
-    """Share-based VC control: lock on admit, unlock from downstream."""
-
-    scheme = "share"
-
-    def __init__(self, sim: Simulator, name: str = "share"):
-        self._box = Sharebox(sim, name=name)
-
-    def wait_ready(self) -> Event:
-        return self._box.wait_unlocked()
-
-    @property
-    def ready(self) -> bool:
-        return not self._box.locked
-
-    def admit(self) -> None:
-        self._box.admit()
-
-    def release(self) -> None:
-        self._box.unlock()
-
-    @property
-    def admitted(self) -> int:
-        return self._box.admitted
-
-
-class CreditFlow:
-    """Credit-based VC control: a window of ``window`` flits in flight.
-
-    Cheaper schemes lock per flit; credits let a single VC pipeline
-    several flits into the downstream buffer, improving average-case
-    throughput at the cost of counters, wider reverse signalling and
-    deeper downstream buffers (area model: `analysis.area`).
-    """
-
-    scheme = "credit"
-
-    def __init__(self, sim: Simulator, window: int, name: str = "credit"):
-        if window < 1:
-            raise ValueError("credit window must be >= 1")
-        self.window = window
-        self.credits = window
-        self._gate = Gate(sim, is_open=True, name=f"{name}.gate")
-        self.admitted_count = 0
-
-    def wait_ready(self) -> Event:
-        return self._gate.wait_open()
-
-    @property
-    def ready(self) -> bool:
-        return self.credits > 0
-
-    def admit(self) -> None:
-        if self.credits <= 0:
-            raise ShareProtocolError("credit underflow")
-        self.credits -= 1
-        self.admitted_count += 1
-        if self.credits == 0:
-            self._gate.close()
-
-    def release(self) -> None:
-        if self.credits >= self.window:
-            raise ShareProtocolError("credit overflow (spurious return)")
-        self.credits += 1
-        self._gate.open()
-
-    @property
-    def admitted(self) -> int:
-        return self.admitted_count
-
-
-def make_flow(config: RouterConfig, sim: Simulator, name: str):
-    if config.flow_control == "credit":
-        return CreditFlow(sim, config.credit_window, name=name)
-    return ShareFlow(sim, name=name)
-
-
 class VcSlot:
     """One output VC: unsharebox latch -> single-flit buffer -> link.
 
-    ``on_departed`` is wired to the VC control module: it fires when a
-    flit leaves the unsharebox, which is what toggles the unlock wire
-    back along the connection.
+    A flit leaving the latch toggles the unlock wire back along the
+    connection: :meth:`_departed` hands it to the VC control module.
 
     The slot is driven by calls, not by a process: an accepted flit
-    starts the unshare transfer (one deferred call) once the buffer has
-    room, and emptying the buffer starts it for a flit waiting in the
-    latch.  ``on_buffered`` is called when a flit lands in the buffer —
-    the network port's :class:`VcSender`; the local port leaves it unset,
-    because its NA waits on the buffer itself (:meth:`take`).
+    starts the unshare transfer (one deferred call) once the buffer is
+    empty, and emptying the buffer starts it for a flit waiting in the
+    latch.  ``on_buffered`` is called when a flit lands in the buffer:
+    the network port's :class:`VcSender`, or the NA on the local port.
+    A network slot's ``flow`` is the window its sender spends; an
+    NA-facing slot has none.
     """
 
-    def __init__(self, sim: Simulator, config: RouterConfig,
-                 out_port: Direction, vc: int,
-                 on_departed: Callable[[], None], name: str):
+    def __init__(self, sim: Simulator, router, out_port: Direction,
+                 vc: int, name: str):
+        config: RouterConfig = router.config
         self.sim = sim
-        self.config = config
         self.out_port = out_port
         self.vc = vc
         self.name = name
-        latch_capacity = (config.credit_window
-                          if config.flow_control == "credit" else 1)
-        self.unsharebox = Unsharebox(sim, name=f"{name}.ub")
-        # Credit mode needs the downstream landing space to cover the
-        # window; share mode is exactly one flit as in the paper.
-        self.unsharebox.latch.capacity = latch_capacity
-        self.unsharebox.on_unlock(on_departed)
-        self.buffer = Store(sim, capacity=1, name=f"{name}.buf")
-        self.flow = make_flow(config, sim, name=f"{name}.flow")
+        self._vc_control = router.vc_control
+        # Share mode is exactly one flit as in the paper; in credit mode
+        # the downstream landing space covers the window.
+        window = (config.credit_window
+                  if config.flow_control == "credit" else 1)
+        self.unsharebox = Unsharebox(window, f"{name}.ub", self._departed)
+        self.flow: Optional[Sharebox] = (
+            None if out_port is Direction.LOCAL
+            else Sharebox(sim, window, name=f"{name}.flow"))
+        self.buffered: Optional[GsFlit] = None  # the single-flit buffer
         self.flits_through = 0
         self.on_buffered: Optional[Callable[[], None]] = None
         self._transfer_ns = config.timing.unshare_transfer_ns()
         self._moving = False  # an unshare transfer is under way
+
+    def _departed(self) -> None:
+        self._vc_control.departed(self.out_port, self.vc)
 
     def accept(self, flit: GsFlit) -> None:
         """Arrival from the switching module into the unsharebox."""
@@ -163,48 +90,45 @@ class VcSlot:
         freed the buffer, before the removed flit is sent on), so its
         heap entry takes the same place among same-time events on every
         run; the golden traces pin that order."""
-        if not self._moving and self.unsharebox.latch.items \
-                and not self.buffer.is_full:
+        if not self._moving and self.unsharebox.latch \
+                and self.buffered is None:
             self._moving = True
             self.sim.defer(self._transfer_ns, self._transfer)
 
     def _transfer(self) -> None:
         """Unsharebox -> buffer; the departure fires the unlock."""
         flit = self.unsharebox.leave()
-        if not self.buffer.try_put(flit):
+        if self.buffered is not None:
             raise ShareProtocolError(
                 f"{self.name}: buffer stolen during unshare transfer")
-        self._moving = False
+        self.buffered = flit
         if self.on_buffered is not None:
             self.on_buffered()
+        self._moving = False
         self.flits_through += 1
         self._refill()
 
     def pop(self) -> GsFlit:
-        """Remove the buffered flit as it leaves on the link."""
-        flit = self.buffer.try_get()
+        """Remove the buffered flit as it leaves on the link (or into
+        the NA)."""
+        flit = self.buffered
         if flit is None:  # pragma: no cover - single consumer
             raise ShareProtocolError(f"{self.name}: buffer raced empty")
+        self.buffered = None
         self._refill()
         return flit
 
-    def take(self) -> Event:
-        """Event yielding the next buffered flit (the NA's side of a
-        local GS interface)."""
-        event = self.buffer.get()
-        self._refill()
-        return event
-
     @property
     def occupancy(self) -> int:
-        return len(self.buffer) + len(self.unsharebox.latch)
+        return len(self.unsharebox.latch) + (self.buffered is not None)
 
 
 class BeTxChannel:
-    """BE side of a network output port: queue + credit counter.
+    """BE side of a network output port: queue + credit window.
 
     The BE channel shares the physical link through the same arbiter but
-    has its own credit-based flow control, handled separately from the VC
+    has its own credit-based flow control, a window of
+    ``be_buffer_depth`` downstream input places, separate from the VC
     control module (paper Sections 4.3 and 5).
     """
 
@@ -216,26 +140,10 @@ class BeTxChannel:
         self.name = name
         self.queue = Store(sim, capacity=config.be_queue_depth,
                            name=f"{name}.q")
-        self.credits = config.be_buffer_depth
-        self._gate = Gate(sim, is_open=True, name=f"{name}.credits")
+        self.flow = Sharebox(sim, config.be_buffer_depth,
+                             name=f"{name}.credits")
         self.flits_sent = 0
         self.credit_stalls = 0  # head flit found zero downstream credits
-
-    def credit_return(self) -> None:
-        if self.credits >= self.config.be_buffer_depth:
-            raise ShareProtocolError(f"{self.name}: BE credit overflow")
-        self.credits += 1
-        self._gate.open()
-
-    def consume_credit(self) -> None:
-        if self.credits <= 0:
-            raise ShareProtocolError(f"{self.name}: BE credit underflow")
-        self.credits -= 1
-        if self.credits == 0:
-            self._gate.close()
-
-    def wait_credit(self) -> Event:
-        return self._gate.wait_open()
 
 
 class VcSender:
@@ -300,9 +208,7 @@ class NetworkOutputPort:
         self.direction = direction
         self.name = name
         self.slots: List[VcSlot] = [
-            VcSlot(sim, self.config, direction, vc,
-                   on_departed=self._departure_hook(vc),
-                   name=f"{name}.vc{vc}")
+            VcSlot(sim, router, direction, vc, name=f"{name}.vc{vc}")
             for vc in range(self.config.vcs_per_port)
         ]
         self.be_tx: List[BeTxChannel] = [
@@ -311,11 +217,6 @@ class NetworkOutputPort:
         ]
         self.link = None
         self.arbiter: Optional[LinkArbiter] = None
-
-    def _departure_hook(self, vc: int) -> Callable[[], None]:
-        def hook():
-            self.router.vc_control.departed(self.direction, vc)
-        return hook
 
     def attach_link(self, link) -> None:
         if self.link is not None:
@@ -337,20 +238,21 @@ class NetworkOutputPort:
     def _be_sender(self, chan: BeTxChannel):
         be_rid = self.config.vcs_per_port + chan.vc
         queue = chan.queue
+        flow = chan.flow
         request = self.arbiter.request
         bump = self.router.counters.bump
         transmit = self.link.transmit_be
         while True:
             yield queue.when_any()
-            if chan.credits <= 0:
+            if not flow.credits:
                 chan.credit_stalls += 1
-            while chan.credits <= 0:
-                yield chan.wait_credit()
+            while not flow.credits:
+                yield flow.wait_ready()
             yield request(be_rid)
             flit = queue.try_get()
             if flit is None:  # pragma: no cover - single consumer
                 raise ShareProtocolError(f"{chan.name}: queue raced empty")
-            chan.consume_credit()
+            flow.admit()
             chan.flits_sent += 1
             bump("be_link_flits")
             transmit(flit)
@@ -360,15 +262,16 @@ class NetworkOutputPort:
         self.slots[vc].flow.release()
 
     def be_credit_return(self, vc: int) -> None:
-        self.be_tx[vc].credit_return()
+        self.be_tx[vc].flow.release()
 
 
 class LocalOutputPort:
     """The local output: dedicated GS interfaces straight to the NA.
 
     No arbitration — each of the (up to four) GS interfaces is its own
-    physical channel; the NA consumes from the slot buffer at its own
-    (clocked) pace, which backpressures the connection end to end.
+    physical channel.  The NA owns each slot's ``on_buffered`` and takes
+    the buffered flit at its own (clocked) pace, which backpressures the
+    connection end to end.
     """
 
     def __init__(self, sim: Simulator, router, name: str):
@@ -378,18 +281,7 @@ class LocalOutputPort:
         self.direction = Direction.LOCAL
         self.name = name
         self.slots: List[VcSlot] = [
-            VcSlot(sim, self.config, Direction.LOCAL, iface,
-                   on_departed=self._departure_hook(iface),
+            VcSlot(sim, router, Direction.LOCAL, iface,
                    name=f"{name}.if{iface}")
             for iface in range(self.config.local_gs_interfaces)
         ]
-
-    def _departure_hook(self, iface: int) -> Callable[[], None]:
-        def hook():
-            self.router.vc_control.departed(Direction.LOCAL, iface)
-        return hook
-
-    def take(self, iface: int) -> Event:
-        """Event yielding the next delivered flit on an interface (used by
-        the network adapter)."""
-        return self.slots[iface].take()

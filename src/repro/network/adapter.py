@@ -11,9 +11,10 @@ GALS boundary.  OCP-style read/write transactions ride on top
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional
 
-from ..core.output_port import ShareFlow
+from ..circuits.sharebox import Sharebox
 from ..network.packet import BeFlit, BePacket, GsFlit, Steering, make_be_packet
 from ..network.routing import route_words_for
 from ..network.topology import Coord, Direction
@@ -56,9 +57,10 @@ class ClockDomain:
 class GsTxEndpoint:
     """Source end of a GS connection: one of the NA's local GS interfaces.
 
-    Holds the connection's first-hop steering bits and a sharebox that the
-    first router's VC control module unlocks — the inherent end-to-end
-    flow control of MANGO reaches all the way into the NA.
+    Holds the connection's first-hop steering bits and a sharebox (a
+    window of 1) that the first router's VC control module unlocks — the
+    inherent end-to-end flow control of MANGO reaches all the way into
+    the NA.
     """
 
     def __init__(self, sim: Simulator, iface: int, name: str):
@@ -66,7 +68,7 @@ class GsTxEndpoint:
         self.iface = iface
         self.name = name
         self.queue = Store(sim, name=f"{name}.q")  # application-side queue
-        self.flow = ShareFlow(sim, name=f"{name}.flow")
+        self.flow = Sharebox(sim, name=f"{name}.flow")
         self.steering: Optional[Steering] = None
         self.connection_id: Optional[int] = None
         self.flits_injected = 0
@@ -77,7 +79,15 @@ class GsTxEndpoint:
 
 
 class NetworkAdapter:
-    """One tile's NA: GS endpoints + BE interface + GALS synchronization."""
+    """One tile's NA: GS endpoints + BE interface + GALS synchronization.
+
+    GS flits are received by callback: the NA owns the ``on_buffered``
+    call of each local VC slot.  An unclocked core takes the flit the
+    moment it is buffered.  A clocked core moves it into a small
+    synchronizer FIFO that pipelines the crossing (throughput one flit
+    per clock edge, latency the synchronizer depth) and back-pressures
+    the network while it is full.
+    """
 
     def __init__(self, sim: Simulator, coord: Coord, router, local_link,
                  clock: Optional[ClockDomain] = None):
@@ -93,6 +103,7 @@ class NetworkAdapter:
             for i in range(config.local_gs_interfaces)
         ]
         self._rx_bound: Dict[int, Callable] = {}
+        self._rx_slots = router.local_output.slots
         self.be_inbox: Store = Store(sim, name=f"{self.name}.be_inbox")
         self._ack_handlers: List[Callable[[int], None]] = []
         self._packet_handlers: List[Callable[[BePacket], Optional[bool]]] = []
@@ -104,8 +115,20 @@ class NetworkAdapter:
         # routing state, so teardown never leaves stale waiters on stores.
         for endpoint in self.tx_endpoints:
             sim.process(self._tx_run(endpoint), name=f"{endpoint.name}.run")
-        for iface in range(config.local_gs_interfaces):
-            sim.process(self._rx_run(iface), name=f"{self.name}.rx{iface}")
+        if clock is None:
+            for iface, slot in enumerate(self._rx_slots):
+                slot.on_buffered = partial(self._rx_now, iface)
+        else:
+            self._sync_fifos = [
+                Store(sim, capacity=4, name=f"{self.name}.sync{iface}")
+                for iface in range(config.local_gs_interfaces)]
+            # Per interface: whether the NA holds a flit the full FIFO
+            # has not taken yet.
+            self._sync_held = [False] * config.local_gs_interfaces
+            for iface, slot in enumerate(self._rx_slots):
+                slot.on_buffered = partial(self._rx_sync, iface)
+                sim.process(self._rx_sync_consumer(iface),
+                            name=f"{self.name}.rx{iface}")
         sim.process(self._be_dispatch(), name=f"{self.name}.be_dispatch")
 
     # -- GS transmit -----------------------------------------------------------
@@ -187,18 +210,32 @@ class NetworkAdapter:
                             cls="gs", iface=iface)
             callback(flit, self.sim.now)
 
-    def _rx_run(self, iface: int):
-        if self.clock is None:
-            while True:
-                flit = yield self.router.local_output.take(iface)
-                self._deliver_rx(iface, flit)
-        # Clocked core: a small synchronizer FIFO pipelines the crossing —
-        # throughput one flit per clock edge, latency the synchronizer
-        # depth, back-pressure through the bounded FIFO into the network.
-        sync_fifo = Store(self.sim, capacity=4,
-                          name=f"{self.name}.sync{iface}")
-        self.sim.process(self._rx_sync_mover(iface, sync_fifo),
-                         name=f"{self.name}.sync_mover{iface}")
+    def _rx_now(self, iface: int) -> None:
+        """Unclocked core: deliver the flit the slot just buffered."""
+        self._deliver_rx(iface, self._rx_slots[iface].pop())
+
+    def _rx_sync(self, iface: int) -> None:
+        """Clocked core: the slot buffered a flit.  While the NA holds
+        one for the full FIFO, the new flit waits in the slot."""
+        if not self._sync_held[iface]:
+            self._rx_sync_put(iface)
+
+    def _rx_sync_put(self, iface: int, _put=None) -> None:
+        """Move the buffered flit, stamped with its arrival, into the
+        synchronizer FIFO.  A put the full FIFO cannot take yet holds
+        the flit; its completion releases the hold and moves the next
+        buffered flit, if any."""
+        self._sync_held[iface] = False
+        slot = self._rx_slots[iface]
+        if slot.buffered is None:
+            return
+        put = self._sync_fifos[iface].put((self.sim.now, slot.pop()))
+        if not put.processed:
+            self._sync_held[iface] = True
+            put.add_callback(partial(self._rx_sync_put, iface))
+
+    def _rx_sync_consumer(self, iface: int):
+        sync_fifo = self._sync_fifos[iface]
         while True:
             yield sync_fifo.when_any()
             while not sync_fifo.is_empty:
@@ -207,11 +244,6 @@ class NetworkAdapter:
                 if self.sim.now - arrival >= self.clock.sync_latency_ns:
                     sync_fifo.try_get()
                     self._deliver_rx(iface, flit)
-
-    def _rx_sync_mover(self, iface: int, sync_fifo: Store):
-        while True:
-            flit = yield self.router.local_output.take(iface)
-            yield sync_fifo.put((self.sim.now, flit))
 
     # -- BE interface -------------------------------------------------------------
 
@@ -267,7 +299,7 @@ class NetworkAdapter:
         port = self.router.output_ports[first_move]
         best_vc, best_credits = 0, -1
         for index, channel in enumerate(port.be_tx):
-            free = channel.credits - len(channel.queue.items)
+            free = channel.flow.credits - len(channel.queue.items)
             if free > best_credits:
                 best_vc, best_credits = index, free
         return best_vc

@@ -163,7 +163,7 @@ def _instrument_mango(registry: MetricsRegistry, network) -> None:
                 registry.add_counter(f"be.{chan.name}.credit_stalls",
                                      lambda c=chan: c.credit_stalls)
                 registry.add_gauge(f"be.{chan.name}.credits",
-                                   lambda c=chan: c.credits)
+                                   lambda c=chan: c.flow.credits)
         local = getattr(router, "local_output", None)
         if local is not None:
             for slot in local.slots:

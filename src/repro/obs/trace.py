@@ -202,13 +202,18 @@ def render_timeline(tracer: Tracer, limit: Optional[int] = None,
 
 def validate_chrome_trace(payload: Any) -> List[str]:
     """Schema-check a loaded Chrome trace JSON object; returns the list
-    of problems (empty means valid)."""
+    of problems (empty means valid).  An export with no span (``X``) or
+    instant (``i``) event is a problem too: a hop path that stops
+    emitting must not pass as a valid trace."""
     problems: List[str] = []
     if not isinstance(payload, dict):
         return [f"top level must be an object, got {type(payload).__name__}"]
     events = payload.get("traceEvents")
     if not isinstance(events, list):
         return ["traceEvents must be a list"]
+    if not any(isinstance(event, dict) and event.get("ph") in ("X", "i")
+               for event in events):
+        problems.append("no trace events (no X or i record)")
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
         if not isinstance(event, dict):

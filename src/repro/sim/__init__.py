@@ -8,14 +8,13 @@ from .kernel import (
     SimulationError,
     Timeout,
 )
-from .resources import Gate, Resource, Store
+from .resources import Resource, Store
 from .handshake import HandshakeChannel, PipelineChain, PipelineStage
 from .tracing import NULL_TRACER, NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
     "Event",
-    "Gate",
     "HandshakeChannel",
     "NULL_TRACER",
     "NullTracer",

@@ -209,7 +209,8 @@ class Event:
         Yielding it resumes the process inline (see
         :meth:`Process._do_resume`'s already-processed fast path), so
         resources whose wait condition is already satisfied — a non-empty
-        store, an open gate, a free mutex — cost no heap traffic at all.
+        store, a free flow-control window, a free mutex — cost no heap
+        traffic at all.
         """
         event = cls.__new__(cls)
         event.sim = sim
@@ -305,10 +306,6 @@ class Process(Event):
         # mesh boots about 4,800 processes, so the per-process bootstrap
         # Event is replaced by one deferred call against a singleton.
         sim.defer(0.0, self._resume, sim._boot_event)
-
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
 
     def _do_resume(self, event: Event) -> None:
         # Only the event this process parked on (or the shared boot

@@ -1,10 +1,11 @@
-"""Blocking resources built on the kernel: stores, gates, mutexes.
+"""Blocking resources built on the kernel: stores and mutexes.
 
-These model the storage and wiring primitives of the clockless router:
+These model the storage primitives of the clockless router's BE path and
+the network adapters:
 
-* :class:`Store` — a capacity-bounded FIFO (VC buffers, unshare latches,
-  BE queues are Stores of capacity 1..N).
-* :class:`Gate` — a level wire that processes can wait to see open.
+* :class:`Store` — a capacity-bounded FIFO (BE input buffers and output
+  queues, NA queues and synchronizer FIFOs).  A GS VC slot's latch and
+  buffer are plain fields (``core/output_port.py``), not Stores.
 * :class:`Resource` — FIFO mutual exclusion (used in baseline routers where
   a shared crossbar *is* arbitrated, unlike MANGO's non-blocking switch).
 """
@@ -16,7 +17,7 @@ from typing import Any, Optional
 
 from .kernel import Event, Simulator, SimulationError, fire
 
-__all__ = ["Store", "Gate", "Resource"]
+__all__ = ["Store", "Resource"]
 
 
 class Store:
@@ -24,9 +25,9 @@ class Store:
 
     ``put`` blocks while full, ``get`` blocks while empty.  ``when_any``
     returns an event that fires as soon as the store is non-empty *without*
-    removing the item — the MANGO VC sender uses this to contend for the
-    link while the flit stays in the buffer (the buffer slot is only freed
-    when the flit actually departs).
+    removing the item — the BE sender uses this to contend for the link
+    while the flit stays in its queue (the queue slot is only freed when
+    the flit actually departs).
     """
 
     def __init__(self, sim: Simulator, capacity: float = float("inf"),
@@ -145,41 +146,6 @@ class Store:
         return (f"<Store {self.name!r} {len(self.items)}/{self.capacity} "
                 f"getters={len(self._getters or ())} "
                 f"putters={len(self._putters or ())}>")
-
-
-class Gate:
-    """A level-sensitive wire: open or closed; waiters pass when open."""
-
-    def __init__(self, sim: Simulator, is_open: bool = False, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._open = is_open
-        self._waiters: list = []
-        self.open_count = 0
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        if self._open:
-            return
-        self._open = True
-        self.open_count += 1
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for event in waiters:
-                fire(event)
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait_open(self) -> Event:
-        if self._open:
-            return Event.completed(self.sim)
-        event = Event(self.sim)
-        self._waiters.append(event)
-        return event
 
 
 class Resource:

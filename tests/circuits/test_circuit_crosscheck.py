@@ -23,42 +23,36 @@ class TestShareLoopCycleTime:
         profile = WORST_CASE
         d = profile.delays
 
-        share = Sharebox(sim)
-        unshare = Unsharebox(sim, on_unlock=None)
-        grants = []
-
         forward_ns = profile.ns(d.forward_path(1.5))
         unlock_ns = profile.ns(d.unlock_path(1.5))
         arb_ns = profile.ns(d.arbitration)
         transfer_ns = profile.ns(d.unshare_transfer)
 
-        def unlock_later():
-            yield sim.timeout(unlock_ns)
-            share.unlock()
+        share = Sharebox(sim)
+        # The unlock wire: the toggle reaches the sharebox unlock_ns
+        # after the flit leaves the unsharebox.
+        unshare = Unsharebox(
+            1, "ub", lambda: sim.defer(unlock_ns, share.release))
+        grants = []
 
-        unshare.on_unlock(lambda: sim.process(unlock_later()))
+        def move():
+            # The mover: unsharebox -> buffer transfer frees the latch
+            # and fires the unlock.
+            grants.append((sim.now, unshare.leave()))
 
         def sender(n_flits):
             for index in range(n_flits):
-                yield share.wait_unlocked()
+                yield share.wait_ready()
                 yield sim.timeout(arb_ns)      # re-arbitration
                 share.admit()
                 yield sim.timeout(forward_ns)  # media traversal
                 unshare.accept(index)
-
-        def receiver(n_flits):
-            for _ in range(n_flits):
-                # The mover: unsharebox -> buffer transfer frees the latch
-                # and fires the unlock.
-                yield unshare.latch.when_any()
-                yield sim.timeout(transfer_ns)
-                flit = unshare.leave()
-                grants.append((sim.now, flit))
+                sim.defer(transfer_ns, move)
 
         n = 10
         sim.process(sender(n))
-        sim.process(receiver(n))
         sim.run()
+        assert len(grants) == n
         periods = [b - a for (a, _), (b, _) in zip(grants, grants[1:])]
         predicted = profile.vc_round_trip_ns(1.5)
         for period in periods:

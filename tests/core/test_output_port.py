@@ -1,13 +1,14 @@
-"""Tests for output ports, VC slots and flow-control strategies."""
+"""Tests for output ports, VC slots and flow-control windows."""
 
 import collections
+import gc
 import hashlib
 
 import pytest
 
 from repro import ClockDomain, MangoNetwork, Coord, RouterConfig
-from repro.circuits.sharebox import ShareProtocolError
-from repro.core.output_port import CreditFlow, ShareFlow, VcSlot
+from repro.circuits.sharebox import Sharebox, ShareProtocolError
+from repro.core.output_port import VcSlot
 from repro.network.topology import Direction
 from repro.obs import ChromeTraceSink
 from repro.sim.kernel import Simulator
@@ -20,14 +21,16 @@ def sim():
 
 
 class TestShareFlow:
+    """Share-based VC control: a window of one flit."""
+
     def test_ready_until_admitted(self, sim):
-        flow = ShareFlow(sim)
+        flow = Sharebox(sim)
         assert flow.ready
         flow.admit()
         assert not flow.ready
 
     def test_release_reopens(self, sim):
-        flow = ShareFlow(sim)
+        flow = Sharebox(sim)
         flow.admit()
         flow.release()
         assert flow.ready
@@ -35,14 +38,16 @@ class TestShareFlow:
 
 
 class TestCreditFlow:
+    """Credit-based VC control: the same window, ``window`` flits wide."""
+
     def test_window_validation(self, sim):
         with pytest.raises(ValueError):
-            CreditFlow(sim, window=0)
+            Sharebox(sim, window=0)
 
     def test_window_admissions_without_release(self, sim):
         """The average-case advantage over share-based control: several
         flits in flight per VC."""
-        flow = CreditFlow(sim, window=3)
+        flow = Sharebox(sim, window=3)
         flow.admit()
         flow.admit()
         assert flow.ready
@@ -50,18 +55,18 @@ class TestCreditFlow:
         assert not flow.ready
 
     def test_underflow_rejected(self, sim):
-        flow = CreditFlow(sim, window=1)
+        flow = Sharebox(sim, window=1)
         flow.admit()
         with pytest.raises(ShareProtocolError):
             flow.admit()
 
     def test_overflow_rejected(self, sim):
-        flow = CreditFlow(sim, window=2)
+        flow = Sharebox(sim, window=2)
         with pytest.raises(ShareProtocolError):
             flow.release()
 
     def test_release_restores(self, sim):
-        flow = CreditFlow(sim, window=2)
+        flow = Sharebox(sim, window=2)
         flow.admit()
         flow.admit()
         flow.release()
@@ -112,25 +117,49 @@ class TestVcSlotPipeline:
 
 class TestGsPathHasNoProcesses:
     def test_boot_entries_are_be_and_adapter_processes_only(self):
-        """VC slots and their link senders run as callbacks: a freshly
-        built 4x4 mesh schedules boots for the BE input processes, the
-        BE senders, the local BE assemblers and the NA endpoints only
-        (its 576 slots and 384 GS senders add none)."""
+        """VC slots, their link senders and the NA's GS receive side run
+        as callbacks: a freshly built 4x4 mesh schedules boots for the BE
+        input processes, the BE senders, the local BE assemblers and the
+        NA's transmit endpoints and BE dispatchers only (its 576 slots,
+        384 GS senders and 64 unclocked GS receive interfaces add
+        none)."""
         net = MangoNetwork(4, 4)
         sim = net.sim
         boots = collections.Counter(
             entry[4].__self__._generator.__qualname__
             for entry in sim._heap
             if entry[3] is None and entry[5] == (sim._boot_event,))
-        assert sum(boots.values()) == len(sim._heap) == 288
+        assert sum(boots.values()) == len(sim._heap) == 224
         assert boots == {
             "BeRouter._input_process": 16 * 5,
             "NetworkOutputPort._be_sender": 48,
             "MangoRouter._local_be_assembler": 16,
             "NetworkAdapter._tx_run": 16 * 4,
-            "NetworkAdapter._rx_run": 16 * 4,
             "NetworkAdapter._be_dispatch": 16,
         }
+
+
+class TestBuildSize:
+    def test_8x8_build_stays_under_the_tracked_object_budget(self):
+        """A VC slot holds its latch and buffer as plain fields and an
+        NA-facing slot builds no window, so the collector has less to
+        walk while a mesh is built.  The count is deterministic: 37,394
+        tracked objects (20 more for the first build in a process),
+        against 62,226 when every slot kept two one-flit Stores and
+        every window a Gate."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            net = MangoNetwork(8, 8)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert added <= 45_000
+        router = net.routers[Coord(0, 0)]
+        assert all(slot.flow is None for slot in router.local_output.slots)
+        assert all(slot.flow.window == 1
+                   for slot in router.output_ports[Direction.EAST].slots)
 
 
 class TestSlotBehindClockedSink:
@@ -155,7 +184,7 @@ class TestSlotBehindClockedSink:
             if slot.unsharebox.occupied:
                 seen["into_occupied_latch"] += 1
             accept(slot, flit)
-            if slot.buffer.is_full:
+            if slot.buffered is not None:
                 seen["behind_full_buffer"] += 1
         monkeypatch.setattr(VcSlot, "accept", counting_accept)
         sink = ChromeTraceSink()
@@ -204,9 +233,10 @@ class TestBeTxChannel:
     def test_credit_accounting_protocol_errors(self):
         net = MangoNetwork(2, 1)
         chan = net.routers[Coord(0, 0)].output_ports[Direction.EAST].be_tx[0]
+        assert chan.flow.window == chan.config.be_buffer_depth
         with pytest.raises(ShareProtocolError):
-            chan.credit_return()  # nothing consumed yet
+            chan.flow.release()  # nothing consumed yet
         for _ in range(chan.config.be_buffer_depth):
-            chan.consume_credit()
+            chan.flow.admit()
         with pytest.raises(ShareProtocolError):
-            chan.consume_credit()
+            chan.flow.admit()

@@ -40,7 +40,7 @@ class TestAdaptiveSelection:
         port = net.routers[Coord(0, 0)].output_ports[Direction.EAST]
         chan0 = port.be_tx[0]
         for _ in range(chan0.config.be_buffer_depth):
-            chan0.consume_credit()
+            chan0.flow.admit()
         assert net.adapters[Coord(0, 0)]._pick_be_vc(Coord(2, 0)) == 1
 
     def test_adaptive_packets_delivered(self, net):

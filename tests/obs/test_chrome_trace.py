@@ -105,6 +105,17 @@ class TestValidator:
     def test_rejects_non_object(self):
         assert validate_chrome_trace([1]) != []
 
+    @pytest.mark.parametrize("events", [
+        [],
+        [{"ph": "M", "name": "thread_name", "pid": 0, "tid": 0,
+          "args": {"name": "R0.0"}}],
+    ], ids=["empty", "metadata-only"])
+    def test_rejects_export_without_trace_events(self, events):
+        """A hop path that stops emitting leaves an export with no span
+        or instant; the schema check must not pass it."""
+        assert validate_chrome_trace({"traceEvents": events}) == [
+            "no trace events (no X or i record)"]
+
     def test_rejects_bad_events(self):
         payload = {"traceEvents": [
             {"ph": "Z", "name": "x", "pid": 0, "tid": 0},

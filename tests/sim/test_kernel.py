@@ -299,15 +299,6 @@ class TestProcess:
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_process(proc())
 
-    def test_is_alive(self, sim):
-        def proc():
-            yield sim.timeout(5.0)
-
-        process = sim.process(proc())
-        assert process.is_alive
-        sim.run()
-        assert not process.is_alive
-
     def test_two_processes_interleave(self, sim):
         log = []
 

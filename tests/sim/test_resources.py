@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.resources import Gate, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 @pytest.fixture
@@ -164,47 +164,6 @@ class TestStorePeekAndSpace:
         sim.process(consumer())
         sim.run()
         assert received == items
-
-
-class TestGate:
-    def test_wait_open_immediate_when_open(self, sim):
-        gate = Gate(sim, is_open=True)
-
-        def proc():
-            yield gate.wait_open()
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
-
-    def test_wait_open_blocks_until_open(self, sim):
-        gate = Gate(sim)
-        log = []
-
-        def waiter():
-            yield gate.wait_open()
-            log.append(sim.now)
-
-        def opener():
-            yield sim.timeout(7.0)
-            gate.open()
-
-        sim.process(waiter())
-        sim.process(opener())
-        sim.run()
-        assert log == [7.0]
-
-    def test_close_then_reopen(self, sim):
-        gate = Gate(sim, is_open=True)
-        gate.close()
-        assert not gate.is_open
-        gate.open()
-        assert gate.is_open
-
-    def test_double_open_counts_once(self, sim):
-        gate = Gate(sim)
-        gate.open()
-        gate.open()
-        assert gate.open_count == 1
 
 
 class TestResource:

@@ -642,6 +642,14 @@ class TestObservabilityCli:
         assert main(["trace", "validate", out_path]) == 0
         assert "loadable Chrome trace" in capsys.readouterr().out
 
+    def test_trace_validate_rejects_an_empty_export(self, tmp_path,
+                                                    capsys):
+        from repro.obs import ChromeTraceSink
+        empty = tmp_path / "empty.json"
+        empty.write_text(ChromeTraceSink().to_json())
+        assert main(["trace", "validate", str(empty)]) == 1
+        assert "INVALID: no trace events" in capsys.readouterr().out
+
     def test_trace_validate_flags_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [{"ph": "Z"}]}')
