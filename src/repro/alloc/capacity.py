@@ -108,9 +108,6 @@ class ResidualCapacity:
     def total_vcs(self) -> int:
         return self.config.vcs_per_port
 
-    def has_link(self, coord: Coord, direction: Direction) -> bool:
-        return (coord, direction) in self.vc_pools
-
     def free_vcs(self, coord: Coord, direction: Direction) -> int:
         return len(self.vc_pools[(coord, direction)])
 

@@ -17,7 +17,7 @@ window of ``be_buffer_depth``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from ..sim.kernel import Event, Simulator, SimulationError, fire
 
@@ -91,17 +91,15 @@ class Unsharebox:
     """Latch at the far side of the shared media.
 
     Holds up to ``capacity`` flits: one under the share scheme, the
-    window under credits.  ``leave`` removes the oldest and calls
-    ``on_unlock`` (the VC control module routes the toggle to the right
-    upstream sharebox).
+    window under credits.  ``leave`` removes the oldest; its owner fires
+    the unlock toggle as it returns (a VC slot hands it to the VC
+    control module, which routes it to the right upstream sharebox).
     """
 
-    def __init__(self, capacity: int, name: str,
-                 on_unlock: Callable[[], None]):
+    def __init__(self, capacity: int, name: str):
         self.capacity = capacity
         self.name = name
         self.latch: deque = deque()
-        self._on_unlock = on_unlock
         self.accepted = 0
         self.departed = 0
 
@@ -119,13 +117,12 @@ class Unsharebox:
         self.accepted += 1
 
     def leave(self) -> Any:
-        """Remove the oldest latched flit now and fire the unlock toggle
-        (the non-blocking departure: the caller knows a flit is
-        latched)."""
+        """Remove the oldest latched flit now (the non-blocking
+        departure: the caller knows a flit is latched, and fires the
+        unlock toggle)."""
         if not self.latch:
             raise ShareProtocolError(
                 f"{self.name}: departure from an empty unsharebox")
         flit = self.latch.popleft()
         self.departed += 1
-        self._on_unlock()
         return flit

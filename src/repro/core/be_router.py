@@ -44,16 +44,13 @@ class BeRouter:
         depth = self.config.be_buffer_depth
         vcs = max(1, self.config.be_channels)
         self.vcs = vcs
-        # One input buffer per (input port, BE VC).
-        self.inputs: Dict[Tuple[Direction, int], Store] = {
-            (direction, vc): Store(sim, capacity=depth,
-                                   name=f"{name}.in.{direction.name}.{vc}")
-            for direction in _INPUT_KEYS for vc in range(vcs)
-        }
-        # Per-direction VC list view of the same stores: accept() runs per
-        # flit per hop, and a list index beats a tuple-keyed dict lookup.
-        self._inputs_by_dir: Dict[Direction, List[Store]] = {
-            direction: [self.inputs[(direction, vc)] for vc in range(vcs)]
+        # One input buffer per (input port, BE VC), indexed by direction
+        # then VC: accept() runs per flit per hop, and a list index beats
+        # a tuple-keyed dict lookup.
+        self.inputs: Dict[Direction, List[Store]] = {
+            direction: [Store(sim, capacity=depth,
+                              name=f"{name}.in.{direction.name}.{vc}")
+                        for vc in range(vcs)]
             for direction in _INPUT_KEYS
         }
         # Output locks give wormhole packet coherency; FIFO grant order is
@@ -71,9 +68,10 @@ class BeRouter:
         # router (each one frees an upstream credit without being
         # forwarded) — observability for the header-extension path.
         self.route_words_stripped = 0
-        for key in self.inputs:
-            sim.process(self._input_process(*key),
-                        name=f"{name}.proc.{key[0].name}.{key[1]}")
+        for direction in _INPUT_KEYS:
+            for vc in range(vcs):
+                sim.process(self._input_process(direction, vc),
+                            name=f"{name}.proc.{direction.name}.{vc}")
 
     def accept(self, in_dir: Direction, flit: BeFlit) -> None:
         """Arrival from a split module (or the local injection path).
@@ -81,7 +79,7 @@ class BeRouter:
         Credits guarantee space; overflow is a protocol violation.
         """
         vc = flit.vc if flit.vc < self.vcs else 0
-        store = self._inputs_by_dir[in_dir][vc]
+        store = self.inputs[in_dir][vc]
         if not store.try_put(flit):
             raise RuntimeError(
                 f"{self.name}: BE input buffer {in_dir.name}/{vc} overflow "
@@ -117,7 +115,7 @@ class BeRouter:
         return port.be_tx[min(vc, len(port.be_tx) - 1)].queue
 
     def _input_process(self, in_dir: Direction, vc: int):
-        buf = self.inputs[(in_dir, vc)]
+        buf = self.inputs[in_dir][vc]
         timing = self.config.timing
         decode_ns = timing.ns(timing.delays.be_route_decode)
         stage_ns = timing.ns(timing.delays.be_buffer_stage)

@@ -238,10 +238,6 @@ class LinkArbiter:
         self._schedule_dispatch(when)
         return event
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def _schedule_dispatch(self, when: float) -> None:
         at = self._dispatch_at
         if at is not None and at <= when:

@@ -5,7 +5,10 @@ reserved sequence of VCs, the target VC buffer of an incoming flit is
 deterministic, so no arbitration is needed between the switch and the
 buffers — only at link access.  Each VC slot holds one flit in the
 unsharebox latch plus one in a single-flit buffer; the unlock toggle fires
-when a flit moves from the unsharebox into the buffer.
+when a flit moves from the unsharebox into the buffer.  A network VC is
+one :class:`VcSlot` (Figure 6's output buffer, sharebox and arbiter
+request line): it fires its own unlock and contends for the link itself,
+so a port builds no per-VC callable.
 
 Every sender on a link spends one flow-control window, a
 :class:`~repro.circuits.sharebox.Sharebox` counting the free places
@@ -39,42 +42,37 @@ __all__ = [
 class VcSlot:
     """One output VC: unsharebox latch -> single-flit buffer -> link.
 
-    A flit leaving the latch toggles the unlock wire back along the
-    connection: :meth:`_departed` hands it to the VC control module.
-
     The slot is driven by calls, not by a process: an accepted flit
     starts the unshare transfer (one deferred call) once the buffer is
     empty, and emptying the buffer starts it for a flit waiting in the
-    latch.  ``on_buffered`` is called when a flit lands in the buffer:
-    the network port's :class:`VcSender`, or the NA on the local port.
-    A network slot's ``flow`` is the window its sender spends; an
-    NA-facing slot has none.
+    latch.  The transfer hands the unlock toggle to the VC control
+    module as the flit leaves the unsharebox.  A network slot then
+    contends for its port's link (:meth:`contend`), spending ``flow``,
+    the window of free places downstream; an NA-facing slot has no
+    window and calls ``on_buffered(slot)``, the NA's receive hook.
     """
 
-    def __init__(self, sim: Simulator, router, out_port: Direction,
-                 vc: int, name: str):
-        config: RouterConfig = router.config
-        self.sim = sim
-        self.out_port = out_port
+    def __init__(self, port, vc: int, name: str):
+        config: RouterConfig = port.config
+        self.sim = port.sim
+        self.port = port
+        self.router = port.router
+        self.out_port: Direction = port.direction
         self.vc = vc
         self.name = name
-        self._vc_control = router.vc_control
         # Share mode is exactly one flit as in the paper; in credit mode
         # the downstream landing space covers the window.
         window = (config.credit_window
                   if config.flow_control == "credit" else 1)
-        self.unsharebox = Unsharebox(window, f"{name}.ub", self._departed)
+        self.unsharebox = Unsharebox(window, f"{name}.ub")
         self.flow: Optional[Sharebox] = (
-            None if out_port is Direction.LOCAL
-            else Sharebox(sim, window, name=f"{name}.flow"))
+            None if self.out_port is Direction.LOCAL
+            else Sharebox(self.sim, window, name=f"{name}.flow"))
         self.buffered: Optional[GsFlit] = None  # the single-flit buffer
         self.flits_through = 0
-        self.on_buffered: Optional[Callable[[], None]] = None
+        self.on_buffered: Optional[Callable[["VcSlot"], None]] = None
         self._transfer_ns = config.timing.unshare_transfer_ns()
         self._moving = False  # an unshare transfer is under way
-
-    def _departed(self) -> None:
-        self._vc_control.departed(self.out_port, self.vc)
 
     def accept(self, flit: GsFlit) -> None:
         """Arrival from the switching module into the unsharebox."""
@@ -98,15 +96,40 @@ class VcSlot:
     def _transfer(self) -> None:
         """Unsharebox -> buffer; the departure fires the unlock."""
         flit = self.unsharebox.leave()
+        self.router.vc_control.departed(self.out_port, self.vc)
         if self.buffered is not None:
             raise ShareProtocolError(
                 f"{self.name}: buffer stolen during unshare transfer")
         self.buffered = flit
-        if self.on_buffered is not None:
-            self.on_buffered()
+        if self.flow is not None:
+            self.contend()
+        elif self.on_buffered is not None:
+            self.on_buffered(self)
         self._moving = False
         self.flits_through += 1
         self._refill()
+
+    def contend(self, _event: Optional[Event] = None) -> None:
+        """The slot holds a flit: request the link once the VC control
+        lets it advance (the downstream sharebox is unlocked, or a
+        credit is free).  Each wait is a callback on the window's or the
+        arbiter's event."""
+        if self.flow.ready:
+            self.port.arbiter.request(self.vc).add_callback(self._granted)
+        else:
+            self.flow.wait_ready().add_callback(self.contend)
+
+    def _granted(self, _event: Event) -> None:
+        """Send the buffered flit with the next hop's steering bits."""
+        flit = self.pop()
+        self.flow.admit()
+        router = self.router
+        entry = router.table.require(self.out_port, self.vc)
+        if entry.steering is None:
+            raise ShareProtocolError(
+                f"{self.name}: network VC without forward steering")
+        router.counters.bump("gs_link_flits")
+        self.port.link.transmit_gs(flit, entry.steering)
 
     def pop(self) -> GsFlit:
         """Remove the buffered flit as it leaves on the link (or into
@@ -146,56 +169,11 @@ class BeTxChannel:
         self.credit_stalls = 0  # head flit found zero downstream credits
 
 
-class VcSender:
-    """Link side of one network VC slot.
-
-    Once the slot buffers a flit, wait until the VC may advance (the
-    downstream sharebox is unlocked, or a credit is free), contend for
-    the link, and send the flit with the next hop's steering bits.  Each
-    wait is a callback attached to the flow-control or arbiter event, so
-    a port needs no process per VC.
-    """
-
-    __slots__ = ("slot", "flow", "vc", "direction", "_request",
-                 "_require", "_bump", "_transmit")
-
-    def __init__(self, port: "NetworkOutputPort", slot: VcSlot):
-        # The callbacks run once per flit on this VC, so their
-        # collaborators are bound once here (fixed for the port's
-        # lifetime).
-        self.slot = slot
-        self.flow = slot.flow
-        self.vc = slot.vc
-        self.direction = port.direction
-        self._request = port.arbiter.request
-        self._require = port.router.table.require
-        self._bump = port.router.counters.bump
-        self._transmit = port.link.transmit_gs
-
-    def contend(self, _event: Optional[Event] = None) -> None:
-        """The slot holds a flit: request the link once the VC control
-        lets it advance."""
-        if self.flow.ready:
-            self._request(self.vc).add_callback(self._granted)
-        else:
-            self.flow.wait_ready().add_callback(self.contend)
-
-    def _granted(self, _event: Event) -> None:
-        flit = self.slot.pop()
-        self.flow.admit()
-        entry = self._require(self.direction, self.vc)
-        if entry.steering is None:
-            raise ShareProtocolError(
-                f"{self.slot.name}: network VC without forward steering")
-        self._bump("gs_link_flits")
-        self._transmit(flit, entry.steering)
-
-
 class NetworkOutputPort:
     """A network output: V VC slots + BE channels + the link arbiter.
 
     The port is created unattached; :meth:`attach_link` wires it to the
-    physical link, gives every VC slot its :class:`VcSender` and starts
+    physical link, builds the arbiter its VC slots contend for and starts
     the BE sender processes (the arbiter cycle time depends on the link's
     pipelining).
     """
@@ -208,7 +186,7 @@ class NetworkOutputPort:
         self.direction = direction
         self.name = name
         self.slots: List[VcSlot] = [
-            VcSlot(sim, router, direction, vc, name=f"{name}.vc{vc}")
+            VcSlot(self, vc, name=f"{name}.vc{vc}")
             for vc in range(self.config.vcs_per_port)
         ]
         self.be_tx: List[BeTxChannel] = [
@@ -229,8 +207,6 @@ class NetworkOutputPort:
             self.sim, policy, cycle_ns=link.media_cycle_ns,
             arbitration_ns=self.config.timing.arbitration_ns(),
             name=f"{self.name}.arb", tracer=self.router.tracer)
-        for slot in self.slots:
-            slot.on_buffered = VcSender(self, slot).contend
         for chan in self.be_tx:
             self.sim.process(self._be_sender(chan),
                              name=f"{chan.name}.sender")
@@ -269,9 +245,9 @@ class LocalOutputPort:
     """The local output: dedicated GS interfaces straight to the NA.
 
     No arbitration — each of the (up to four) GS interfaces is its own
-    physical channel.  The NA owns each slot's ``on_buffered`` and takes
-    the buffered flit at its own (clocked) pace, which backpressures the
-    connection end to end.
+    physical channel.  The NA installs one receive hook as every slot's
+    ``on_buffered`` and takes the buffered flit at its own (clocked)
+    pace, which backpressures the connection end to end.
     """
 
     def __init__(self, sim: Simulator, router, name: str):
@@ -281,7 +257,6 @@ class LocalOutputPort:
         self.direction = Direction.LOCAL
         self.name = name
         self.slots: List[VcSlot] = [
-            VcSlot(sim, router, Direction.LOCAL, iface,
-                   name=f"{name}.if{iface}")
+            VcSlot(self, iface, name=f"{name}.if{iface}")
             for iface in range(self.config.local_gs_interfaces)
         ]

@@ -149,7 +149,7 @@ class MangoRouter:
         """Flit injection proper; caller must hold the local BE port."""
         cycle_ns = self.config.timing.link_cycle_ns
         be_router = self.be_router
-        local_inputs = be_router._inputs_by_dir[Direction.LOCAL]
+        local_inputs = be_router.inputs[Direction.LOCAL]
         vcs = be_router.vcs
         bump = self.counters.bump
         timeout = self.sim.timeout

@@ -81,12 +81,13 @@ class GsTxEndpoint:
 class NetworkAdapter:
     """One tile's NA: GS endpoints + BE interface + GALS synchronization.
 
-    GS flits are received by callback: the NA owns the ``on_buffered``
-    call of each local VC slot.  An unclocked core takes the flit the
-    moment it is buffered.  A clocked core moves it into a small
-    synchronizer FIFO that pipelines the crossing (throughput one flit
-    per clock edge, latency the synchronizer depth) and back-pressures
-    the network while it is full.
+    GS flits are received by callback: one bound receive method is the
+    ``on_buffered`` hook of every local VC slot, and the slot passes
+    itself (its ``vc`` is the interface).  An unclocked core takes the
+    flit the moment it is buffered.  A clocked core moves it into a
+    small synchronizer FIFO that pipelines the crossing (throughput one
+    flit per clock edge, latency the synchronizer depth) and
+    back-pressures the network while it is full.
     """
 
     def __init__(self, sim: Simulator, coord: Coord, router, local_link,
@@ -110,25 +111,27 @@ class NetworkAdapter:
         self.be_packets_sent = 0
         self.be_packets_received = 0
         self.dropped_rx_flits = 0
+        self.dropped_tx_flits = 0
         local_link.attach_adapter(self)
         # Endpoint processes are persistent; bind/unbind only swaps the
         # routing state, so teardown never leaves stale waiters on stores.
         for endpoint in self.tx_endpoints:
             sim.process(self._tx_run(endpoint), name=f"{endpoint.name}.run")
         if clock is None:
-            for iface, slot in enumerate(self._rx_slots):
-                slot.on_buffered = partial(self._rx_now, iface)
+            receive = self._rx_now
         else:
+            receive = self._rx_sync
             self._sync_fifos = [
                 Store(sim, capacity=4, name=f"{self.name}.sync{iface}")
                 for iface in range(config.local_gs_interfaces)]
             # Per interface: whether the NA holds a flit the full FIFO
             # has not taken yet.
             self._sync_held = [False] * config.local_gs_interfaces
-            for iface, slot in enumerate(self._rx_slots):
-                slot.on_buffered = partial(self._rx_sync, iface)
+            for iface in range(config.local_gs_interfaces):
                 sim.process(self._rx_sync_consumer(iface),
                             name=f"{self.name}.rx{iface}")
+        for slot in self._rx_slots:
+            slot.on_buffered = receive
         sim.process(self._be_dispatch(), name=f"{self.name}.be_dispatch")
 
     # -- GS transmit -----------------------------------------------------------
@@ -178,7 +181,7 @@ class NetworkAdapter:
             if not endpoint.bound:
                 # Stragglers queued before an unbind are dropped; the
                 # manager drains connections before closing them.
-                self.dropped_rx_flits += 1
+                self.dropped_tx_flits += 1
                 continue
             endpoint.flow.admit()
             endpoint.flits_injected += 1
@@ -210,15 +213,15 @@ class NetworkAdapter:
                             cls="gs", iface=iface)
             callback(flit, self.sim.now)
 
-    def _rx_now(self, iface: int) -> None:
+    def _rx_now(self, slot) -> None:
         """Unclocked core: deliver the flit the slot just buffered."""
-        self._deliver_rx(iface, self._rx_slots[iface].pop())
+        self._deliver_rx(slot.vc, slot.pop())
 
-    def _rx_sync(self, iface: int) -> None:
+    def _rx_sync(self, slot) -> None:
         """Clocked core: the slot buffered a flit.  While the NA holds
         one for the full FIFO, the new flit waits in the slot."""
-        if not self._sync_held[iface]:
-            self._rx_sync_put(iface)
+        if not self._sync_held[slot.vc]:
+            self._rx_sync_put(slot.vc)
 
     def _rx_sync_put(self, iface: int, _put=None) -> None:
         """Move the buffered flit, stamped with its arrival, into the

@@ -68,9 +68,6 @@ class HandshakeChannel:
         self.received += 1
         return data
 
-    def try_recv(self) -> Any:
-        return self._slot.try_get()
-
 
 class PipelineStage:
     """One bundled-data latch stage between an input and output channel."""

@@ -50,11 +50,6 @@ class CbrSource:
             if index != self.n_flits - 1:
                 yield self.sim.timeout(self.period_ns)
 
-    @property
-    def offered_rate(self) -> float:
-        """Offered flits per ns."""
-        return 1.0 / self.period_ns
-
 
 class BurstySource:
     """On/off GS source: bursts of back-to-back flits, idle gaps between."""

@@ -29,16 +29,16 @@ class TestShareLoopCycleTime:
         transfer_ns = profile.ns(d.unshare_transfer)
 
         share = Sharebox(sim)
-        # The unlock wire: the toggle reaches the sharebox unlock_ns
-        # after the flit leaves the unsharebox.
-        unshare = Unsharebox(
-            1, "ub", lambda: sim.defer(unlock_ns, share.release))
+        unshare = Unsharebox(1, "ub")
         grants = []
 
         def move():
             # The mover: unsharebox -> buffer transfer frees the latch
-            # and fires the unlock.
-            grants.append((sim.now, unshare.leave()))
+            # and fires the unlock, whose toggle reaches the sharebox
+            # unlock_ns later.
+            flit = unshare.leave()
+            sim.defer(unlock_ns, share.release)
+            grants.append((sim.now, flit))
 
         def sender(n_flits):
             for index in range(n_flits):

@@ -126,47 +126,38 @@ class TestWindow:
 
 
 class TestUnsharebox:
+    """The latch alone: its owner fires the unlock (VC slot cases in
+    tests/core/test_output_port.py)."""
+
     def test_accept_when_occupied_is_protocol_error(self, sim):
-        box = Unsharebox(1, "ub", lambda: None)
+        box = Unsharebox(1, "ub")
         box.accept("first")
         with pytest.raises(ShareProtocolError):
             box.accept("second")
 
-    def test_departure_fires_unlock_callback(self, sim):
-        unlocks = []
-        box = Unsharebox(1, "ub", lambda: unlocks.append(sim.now))
-        box.accept("flit")
-        sim.defer(2.0, box.leave)
-        sim.run()
-        assert unlocks == [2.0]
-
-    def test_leave_departs_now_and_fires_unlock(self, sim):
-        unlocks = []
-        box = Unsharebox(1, "ub", lambda: unlocks.append(1))
+    def test_leave_departs_now(self, sim):
+        box = Unsharebox(1, "ub")
         box.accept("flit")
         assert box.leave() == "flit"
-        assert unlocks == [1]
         assert not box.occupied
         assert box.departed == 1
 
     def test_leave_from_empty_box_is_protocol_error(self, sim):
-        box = Unsharebox(1, "ub", lambda: pytest.fail("unlocked"))
+        box = Unsharebox(1, "ub")
         with pytest.raises(ShareProtocolError, match="empty"):
             box.leave()
         assert box.departed == 0
 
-    def test_unlock_fires_per_departure(self, sim):
-        unlocks = []
-        box = Unsharebox(1, "ub", lambda: unlocks.append(1))
+    def test_counts_every_departure(self, sim):
+        box = Unsharebox(1, "ub")
         for index in range(3):
             box.accept(index)
             assert box.leave() == index
-        assert len(unlocks) == 3
         assert box.accepted == 3
         assert box.departed == 3
 
     def test_capacity_is_the_window(self, sim):
-        box = Unsharebox(2, "ub", lambda: None)
+        box = Unsharebox(2, "ub")
         box.accept("a")
         box.accept("b")
         with pytest.raises(ShareProtocolError):
@@ -179,14 +170,17 @@ class TestLockUnlockLoop:
         """Sharebox -> media -> unsharebox -> unlock -> sharebox, as in
         Figure 6.  No flit may enter while the previous is in flight."""
         share = Sharebox(sim)
-        unshare = Unsharebox(1, "ub", share.release)
+        unshare = Unsharebox(1, "ub")
         media_delay = 2.0
         delivered = []
 
         def arrive(flit):
-            # The receiving side takes each flit as it lands.
+            # The receiving side takes each flit as it lands and toggles
+            # the unlock as it leaves the unsharebox.
             unshare.accept(flit)
-            delivered.append((sim.now, unshare.leave()))
+            flit = unshare.leave()
+            share.release()
+            delivered.append((sim.now, flit))
 
         def sender():
             for index in range(4):

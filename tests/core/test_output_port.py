@@ -9,6 +9,7 @@ import pytest
 from repro import ClockDomain, MangoNetwork, Coord, RouterConfig
 from repro.circuits.sharebox import Sharebox, ShareProtocolError
 from repro.core.output_port import VcSlot
+from repro.core.vc_control import VcControlModule
 from repro.network.topology import Direction
 from repro.obs import ChromeTraceSink
 from repro.sim.kernel import Simulator
@@ -115,6 +116,84 @@ class TestVcSlotPipeline:
             .arbiter is None
 
 
+class TestSlotFiresUnlock:
+    """A VC slot hands the unlock toggle to the VC control module itself,
+    as the flit leaves the unsharebox; the latch has no callback."""
+
+    N_FLITS = 5
+
+    def _one_hop(self, monkeypatch):
+        """Send flits over one hop and log the first hop's accepts, the
+        unlocks routed for its slot, and its contentions for the link."""
+        net = MangoNetwork(2, 1)
+        conn = net.open_connection_instant(Coord(0, 0), Coord(1, 0))
+        hop = conn.hops[0]
+        router = net.routers[hop.coord]
+        slot = router.output_ports[hop.out_dir].slots[hop.vc]
+        log = []
+        accept, departed = VcSlot.accept, VcControlModule.departed
+        contend = VcSlot.contend
+
+        def logged_accept(this, flit):
+            if this is slot:
+                log.append(("accept", net.now, flit.payload))
+            accept(this, flit)
+
+        def logged_departed(module, out_port, vc):
+            if module is router.vc_control and \
+                    (out_port, vc) == (slot.out_port, slot.vc):
+                log.append(("unlock", net.now, slot.unsharebox.departed,
+                            slot.buffered))
+            departed(module, out_port, vc)
+
+        def logged_contend(this, event=None):
+            if this is slot:
+                log.append(("contend", net.now, this.buffered.payload))
+            contend(this, event)
+        monkeypatch.setattr(VcSlot, "accept", logged_accept)
+        monkeypatch.setattr(VcControlModule, "departed", logged_departed)
+        monkeypatch.setattr(VcSlot, "contend", logged_contend)
+        for value in range(self.N_FLITS):
+            conn.send(value)
+        net.run(until=net.now + 500.0)
+        assert conn.sink.payloads == list(range(self.N_FLITS))
+        return net, slot, log
+
+    def test_one_unlock_per_flit(self, monkeypatch):
+        """Every departure from the latch routes exactly one unlock, on
+        the network slot and on the NA-facing slot alike."""
+        net, slot, log = self._one_hop(monkeypatch)
+        unlocks = [entry for entry in log if entry[0] == "unlock"]
+        assert [entry[2] for entry in unlocks] == \
+            list(range(1, self.N_FLITS + 1))
+        assert slot.flits_through == self.N_FLITS
+        for router in net.routers.values():
+            assert router.vc_control.unlocks_routed == self.N_FLITS
+            assert router.vc_control.orphan_unlocks == 0
+
+    def test_unlock_ends_the_transfer_before_the_flit_contends(
+            self, monkeypatch):
+        """The unlock fires at the end of the unshare transfer (the
+        first flit: one transfer time after its accept), with the flit
+        out of the latch and not yet in the buffer, and the next thing
+        the slot does is contend with that flit."""
+        _net, _slot, log = self._one_hop(monkeypatch)
+        transfer_ns = RouterConfig().timing.unshare_transfer_ns()
+        accepts = [entry for entry in log if entry[0] == "accept"]
+        unlocks = [index for index, entry in enumerate(log)
+                   if entry[0] == "unlock"]
+        assert len(accepts) == len(unlocks) == self.N_FLITS
+        assert log[unlocks[0]][1] == pytest.approx(
+            accepts[0][1] + transfer_ns)
+        for payload, (accepted, index) in enumerate(zip(accepts, unlocks)):
+            _kind, when, _departed, buffered = log[index]
+            assert buffered is None
+            assert when >= accepted[1] + transfer_ns
+            assert log[index + 1] == ("contend", when, payload)
+            assert all(entry[2] != payload for entry in log[:index]
+                       if entry[0] == "contend")
+
+
 class TestGsPathHasNoProcesses:
     def test_boot_entries_are_be_and_adapter_processes_only(self):
         """VC slots, their link senders and the NA's GS receive side run
@@ -141,12 +220,15 @@ class TestGsPathHasNoProcesses:
 
 class TestBuildSize:
     def test_8x8_build_stays_under_the_tracked_object_budget(self):
-        """A VC slot holds its latch and buffer as plain fields and an
-        NA-facing slot builds no window, so the collector has less to
-        walk while a mesh is built.  The count is deterministic: 37,394
-        tracked objects (20 more for the first build in a process),
-        against 62,226 when every slot kept two one-flit Stores and
-        every window a Gate."""
+        """A VC slot holds its latch and buffer as plain fields, fires
+        its own unlock and contends for the link itself, and an
+        NA-facing slot builds no window, so a mesh builds no per-VC
+        callable and the collector has less to walk while it is built.
+        The count is deterministic: 23,250 tracked objects (20 more for
+        the first build in a process), against 37,394 when every
+        network VC had a sender object with prebound calls and every
+        slot bound its unlock hook, and 62,226 when every slot kept two
+        one-flit Stores and every window a Gate."""
         gc.collect()
         gc.disable()
         try:
@@ -155,7 +237,7 @@ class TestBuildSize:
             added = len(gc.get_objects()) - before
         finally:
             gc.enable()
-        assert added <= 45_000
+        assert added <= 26_000
         router = net.routers[Coord(0, 0)]
         assert all(slot.flow is None for slot in router.local_output.slots)
         assert all(slot.flow.window == 1

@@ -67,6 +67,24 @@ class TestEndpointBinding:
             net.adapters[Coord(1, 0)].bind_rx(conn.dst_iface, lambda f, t: None)
 
 
+class TestDroppedFlits:
+    def test_straggler_after_unbind_tx_is_a_transmit_drop(self):
+        """Flits still queued at the source when its interface is
+        unbound are dropped there, as transmit drops: the source NA
+        received nothing."""
+        net = MangoNetwork(2, 1)
+        conn = net.open_connection_instant(Coord(0, 0), Coord(1, 0))
+        for value in range(3):
+            conn.send(value)
+        net.run(until=0.5)
+        src = net.adapters[Coord(0, 0)]
+        src.unbind_tx(conn.src_iface)
+        net.run(until=200.0)
+        assert conn.sink.payloads == [0]
+        assert src.dropped_tx_flits == 2
+        assert src.dropped_rx_flits == 0
+
+
 class TestGalsBoundary:
     def test_clocked_na_quantizes_injection(self):
         """With a clocked core, flits enter the network on clock edges —

@@ -74,6 +74,15 @@ class TestChurnRunner:
         assert all(len(pool) == vcs
                    for pool in manager.vc_pools.values())
 
+    def test_no_adapter_drops_a_flit(self):
+        """The manager drains a connection before closing it, so no NA
+        drops a straggler on either side."""
+        runner = ScenarioRunner(get("gs-churn-8x8").smoke())
+        assert runner.run().passed
+        for adapter in runner.network.adapters.values():
+            assert adapter.dropped_tx_flits == 0
+            assert adapter.dropped_rx_flits == 0
+
     def test_churn_counts_are_conserved(self):
         spec = get("gs-churn-8x8").smoke()
         result = ScenarioRunner(spec).run()
