@@ -20,12 +20,12 @@ steering bits stripped, 34 bits remaining).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..network.packet import BeFlit
 from ..network.routing import header_direction, rotate_header
 from ..network.topology import Direction, NETWORK_DIRECTIONS
-from ..sim.kernel import Simulator
+from ..sim.kernel import Event, Simulator
 from ..sim.resources import Resource, Store
 
 __all__ = ["BeRouter"]
@@ -60,10 +60,6 @@ class BeRouter:
                                       name=f"{name}.lock.{direction.name}.{vc}")
             for direction in _INPUT_KEYS for vc in range(vcs)
         }
-        # Local delivery: raw flits to be assembled by the local BE port.
-        self.local_out = Store(sim, name=f"{name}.local_out")
-        self.packets_routed = 0
-        self.flits_routed = 0
         # Spent chained-route words consumed at their chunk-boundary
         # router (each one frees an upstream credit without being
         # forwarded) — observability for the header-extension path.
@@ -103,16 +99,24 @@ class BeRouter:
             return link.return_be_credit
         return None
 
-    def _out_queue(self, out_dir: Direction, vc: int) -> Store:
-        """The store one packet's flits stream into (fixed per packet)."""
+    def _out_put(self, out_dir: Direction, vc: int
+                 ) -> Callable[[BeFlit], Event]:
+        """The put one packet's flits stream into (fixed per packet): a
+        BE channel's queue, or the router's local BE port."""
         if out_dir is Direction.LOCAL:
-            return self.local_out
+            return self._put_local
         port = self.router.output_ports[out_dir]
         if not port.be_tx:
             raise RuntimeError(
                 f"{self.name}: BE flit towards {out_dir.name} but the "
                 "router has no BE channels configured")
-        return port.be_tx[min(vc, len(port.be_tx) - 1)].queue
+        return port.be_tx[min(vc, len(port.be_tx) - 1)].queue.put
+
+    def _put_local(self, flit: BeFlit) -> Event:
+        """The local port assembles the flit at once, so the put is
+        complete when it returns."""
+        self.router.assemble_local_be(flit)
+        return Event.completed(self.sim)
 
     def _input_process(self, in_dir: Direction, vc: int):
         buf = self.inputs[in_dir][vc]
@@ -153,24 +157,21 @@ class BeRouter:
             lock = self.output_locks[(out_dir, vc)]
             yield lock.request()
             try:
-                # The output queue is fixed for the whole wormhole packet.
-                out_queue = self._out_queue(out_dir, vc)
+                # The output is fixed for the whole wormhole packet.
+                put = self._out_put(out_dir, vc)
                 rotated = BeFlit(rotate_header(head.word), is_head=True,
                                  is_tail=head.is_tail, vc=head.vc,
                                  packet_id=head.packet_id,
                                  inject_time=head.inject_time,
                                  route_ext=route_ext)
-                yield out_queue.put(rotated)
+                yield put(rotated)
                 credit(vc)
-                self.flits_routed += 1
                 tail_seen = head.is_tail
                 while not tail_seen:
                     flit = yield buf.get()
                     yield timeout(stage_ns)
-                    yield out_queue.put(flit)
+                    yield put(flit)
                     credit(vc)
-                    self.flits_routed += 1
                     tail_seen = flit.is_tail
-                self.packets_routed += 1
             finally:
                 lock.release()

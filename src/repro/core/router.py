@@ -17,7 +17,7 @@ from typing import Dict, Generator, Iterator, List, Optional
 from ..network.packet import BeFlit, BePacket, GsFlit, Steering
 from ..network.topology import Coord, Direction, NETWORK_DIRECTIONS
 from ..sim.kernel import Simulator
-from ..sim.resources import Resource, Store
+from ..sim.resources import Resource
 from ..sim.tracing import NULL_TRACER, Tracer
 from .be_router import BeRouter
 from .config import RouterConfig
@@ -70,12 +70,10 @@ class MangoRouter:
         self.input_links: Dict[Direction, object] = {}
         self.local_link = None  # the NA-facing local link
 
-        # Local BE port: assembled packets for the NA; config packets are
-        # consumed by the programming interface instead.
-        self.local_be_rx: Store = Store(sim, name=f"{self.name}.be_rx")
+        # Local BE port: the BE router delivers flits by call into the
+        # packet being assembled here; the lock serializes injection.
+        self._local_be_packet: Optional[List[BeFlit]] = None
         self._local_be_lock = Resource(sim, 1, name=f"{self.name}.be_inj")
-        sim.process(self._local_be_assembler(),
-                    name=f"{self.name}.be_assemble")
 
     # -- construction hooks --------------------------------------------------
 
@@ -159,26 +157,25 @@ class MangoRouter:
             bump("be_local_injected")
             yield timeout(cycle_ns)
 
-    def _local_be_assembler(self):
-        """Assemble flits delivered to the local port into packets; config
+    def assemble_local_be(self, flit: BeFlit) -> None:
+        """A flit the BE router delivers to the local port, by call as it
+        leaves the BE router.  A tail flit completes the packet: config
         packets go to the programming interface, the rest to the NA."""
-        current: Optional[List[BeFlit]] = None
-        while True:
-            flit = yield self.be_router.local_out.get()
-            if flit.is_head:
-                if current is not None:
-                    raise RuntimeError(
-                        f"{self.name}: head flit inside a packet "
-                        "(wormhole coherency broken)")
-                current = [flit]
-            else:
-                if current is None:
-                    raise RuntimeError(
-                        f"{self.name}: body flit without a head")
-                current.append(flit)
-            if flit.is_tail:
-                self._finish_packet(current)
-                current = None
+        current = self._local_be_packet
+        if flit.is_head:
+            if current is not None:
+                raise RuntimeError(
+                    f"{self.name}: head flit inside a packet "
+                    "(wormhole coherency broken)")
+            current = self._local_be_packet = [flit]
+        else:
+            if current is None:
+                raise RuntimeError(
+                    f"{self.name}: body flit without a head")
+            current.append(flit)
+        if flit.is_tail:
+            self._local_be_packet = None
+            self._finish_packet(current)
 
     def _finish_packet(self, flits: List[BeFlit]) -> None:
         header = flits[0].word
@@ -199,8 +196,7 @@ class MangoRouter:
             self.tracer.emit(self.sim.now, self.name, "be_delivered",
                              flit=f"p{packet.packet_id}",
                              flits=packet.n_flits)
-        if not self.local_be_rx.try_put(packet):  # pragma: no cover
-            raise RuntimeError("unbounded store refused a put")
+        self.local_link.adapter.receive_be(packet)
 
     # -- introspection ---------------------------------------------------------
 

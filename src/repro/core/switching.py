@@ -51,13 +51,10 @@ class SwitchingModule:
 
     def __init__(self, config: RouterConfig):
         self.config = config
-        self.flits_routed = 0
-        self.routes_by_port: Dict[Direction, int] = {
-            d: 0 for d in Direction}
         # Steering bits are static per connection per hop, so the decode
         # (which rebuilds the reachable-port tuple every call) is cached;
         # the Figure 5 structure is validated on the first flit of each
-        # (input, steering) pair and the counters still count every flit.
+        # (input, steering) pair.
         self._decode_cache: Dict[tuple, Tuple[Direction, int]] = {}
 
     def route(self, in_dir: Direction, steering: Steering
@@ -75,10 +72,7 @@ class SwitchingModule:
                 in_dir, steering, vcs_per_port=self.config.vcs_per_port,
                 local_interfaces=self.config.local_gs_interfaces)
             self._decode_cache[key] = decoded
-        out_port, out_vc = decoded
-        self.flits_routed += 1
-        self.routes_by_port[out_port] += 1
-        return out_port, out_vc
+        return decoded
 
     def steer_to(self, in_dir: Direction, out_port: Direction, out_vc: int
                  ) -> Steering:

@@ -6,22 +6,29 @@ dedicated GS interfaces, injects/receives BE packets, and performs the
 synchronization between the clocked core and the clockless network — the
 GALS boundary.  OCP-style read/write transactions ride on top
 (:mod:`repro.network.ocp`).
+
+The NA runs on calls, like the VC slots it feeds: no kernel process
+moves its data, and its one ``Store`` is the BE inbox.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from collections import deque
 from typing import Callable, Dict, Generator, List, Optional
 
 from ..circuits.sharebox import Sharebox
-from ..network.packet import BeFlit, BePacket, GsFlit, Steering, make_be_packet
+from ..core.programming import OP_ACK, is_config_word
+from ..network.packet import BePacket, GsFlit, Steering, make_be_packet
 from ..network.routing import route_words_for
-from ..network.topology import Coord, Direction
+from ..network.topology import Coord
 from ..sim.kernel import Simulator
 from ..sim.resources import Store
 
 __all__ = ["ClockDomain", "GsTxEndpoint", "NetworkAdapter"]
+
+#: Flits a clocked NA's synchronizer FIFO holds per GS interface.
+SYNC_FIFO_DEPTH = 4
 
 
 class ClockDomain:
@@ -46,12 +53,18 @@ class ClockDomain:
     def sync_latency_ns(self) -> float:
         return self.sync_cycles * self.period_ns
 
-    def next_edge(self, sim: Simulator):
-        """Timeout to the next clock edge strictly after now."""
-        now = sim.now - self.offset_ns
-        edges = math.floor(now / self.period_ns) + 1
+    def next_edge(self, now: float) -> float:
+        """The wait from ``now`` to the next clock edge strictly after it.
+
+        When ``now`` sits on an edge, the quotient can round down onto
+        that same edge (a 3.3 ns clock at 9.899999999999999 ns); the
+        edge after it is taken then, so the wait is never zero.
+        """
+        edges = math.floor((now - self.offset_ns) / self.period_ns) + 1
         target = edges * self.period_ns + self.offset_ns
-        return sim.timeout(target - sim.now)
+        if target <= now:
+            target = (edges + 1) * self.period_ns + self.offset_ns
+        return target - now
 
 
 class GsTxEndpoint:
@@ -61,21 +74,60 @@ class GsTxEndpoint:
     window of 1) that the first router's VC control module unlocks — the
     inherent end-to-end flow control of MANGO reaches all the way into
     the NA.
+
+    The endpoint runs as calls on a plain queue: :meth:`step` waits for
+    the next clock edge (clocked NA only), then for the window, sends
+    the head flit and steps again one link cycle later.  It idles on an
+    empty queue until :meth:`NetworkAdapter.gs_send` steps it.
     """
 
-    def __init__(self, sim: Simulator, iface: int, name: str):
-        self.sim = sim
-        self.iface = iface
+    def __init__(self, adapter: NetworkAdapter, name: str):
+        self.adapter = adapter
+        self.sim = adapter.sim
         self.name = name
-        self.queue = Store(sim, name=f"{name}.q")  # application-side queue
-        self.flow = Sharebox(sim, name=f"{name}.flow")
+        self.queue: deque = deque()  # application-side queue
+        self.flow = Sharebox(self.sim, name=f"{name}.flow")
         self.steering: Optional[Steering] = None
         self.connection_id: Optional[int] = None
-        self.flits_injected = 0
+        # False until the NA's start call takes the first step.
+        self.idle = False
+        self._cycle_ns = adapter.router.config.timing.link_cycle_ns
 
     @property
     def bound(self) -> bool:
         return self.steering is not None
+
+    def step(self) -> None:
+        """Take the next queued flit to the clock edge, or go idle."""
+        if not self.queue:
+            self.idle = True
+            return
+        self.idle = False
+        clock = self.adapter.clock
+        if clock is None:
+            self._send()
+        else:
+            self.sim.defer(clock.next_edge(self.sim.now), self._send)
+
+    def _send(self, _event=None) -> None:
+        """Send the head flit once the window has a free place; a wait
+        is a callback on the window's event."""
+        if not self.flow.ready:
+            self.flow.wait_ready().add_callback(self._send)
+            return
+        flit = self.queue.popleft()
+        while not self.bound:
+            # Stragglers queued before an unbind are dropped, one per
+            # clock edge or, unclocked, all in this loop; the manager
+            # drains connections before closing them.
+            self.adapter.dropped_tx_flits += 1
+            if self.adapter.clock is not None or not self.queue:
+                self.step()
+                return
+            flit = self.queue.popleft()
+        self.flow.admit()
+        self.adapter.local_link.transmit_inject(self.steering, flit)
+        self.sim.defer(self._cycle_ns, self.step)
 
 
 class NetworkAdapter:
@@ -87,7 +139,8 @@ class NetworkAdapter:
     flit the moment it is buffered.  A clocked core moves it into a
     small synchronizer FIFO that pipelines the crossing (throughput one
     flit per clock edge, latency the synchronizer depth) and
-    back-pressures the network while it is full.
+    back-pressures the network while it is full.  BE packets arrive from
+    the router's local BE port by call (:meth:`receive_be`).
     """
 
     def __init__(self, sim: Simulator, coord: Coord, router, local_link,
@@ -100,7 +153,7 @@ class NetworkAdapter:
         self.name = f"NA{coord.x}.{coord.y}"
         config = router.config
         self.tx_endpoints: List[GsTxEndpoint] = [
-            GsTxEndpoint(sim, i, name=f"{self.name}.tx{i}")
+            GsTxEndpoint(self, name=f"{self.name}.tx{i}")
             for i in range(config.local_gs_interfaces)
         ]
         self._rx_bound: Dict[int, Callable] = {}
@@ -113,26 +166,19 @@ class NetworkAdapter:
         self.dropped_rx_flits = 0
         self.dropped_tx_flits = 0
         local_link.attach_adapter(self)
-        # Endpoint processes are persistent; bind/unbind only swaps the
-        # routing state, so teardown never leaves stale waiters on stores.
-        for endpoint in self.tx_endpoints:
-            sim.process(self._tx_run(endpoint), name=f"{endpoint.name}.run")
+        # Flits queued before the run leave at t=0, NA by NA in
+        # construction order and each NA's endpoints in interface order.
+        sim.defer(0.0, self._start_tx)
         if clock is None:
             receive = self._rx_now
         else:
             receive = self._rx_sync
-            self._sync_fifos = [
-                Store(sim, capacity=4, name=f"{self.name}.sync{iface}")
-                for iface in range(config.local_gs_interfaces)]
-            # Per interface: whether the NA holds a flit the full FIFO
-            # has not taken yet.
-            self._sync_held = [False] * config.local_gs_interfaces
-            for iface in range(config.local_gs_interfaces):
-                sim.process(self._rx_sync_consumer(iface),
-                            name=f"{self.name}.rx{iface}")
+            # Per interface: the synchronizer FIFO of (stamp, flit), and
+            # the stamped flit the NA holds while the FIFO is full.
+            self._sync_fifos = [deque() for _ in self._rx_slots]
+            self._sync_held = [None] * len(self._rx_slots)
         for slot in self._rx_slots:
             slot.on_buffered = receive
-        sim.process(self._be_dispatch(), name=f"{self.name}.be_dispatch")
 
     # -- GS transmit -----------------------------------------------------------
 
@@ -164,29 +210,13 @@ class NetworkAdapter:
         if flit.inject_time < 0:
             flit.inject_time = self.sim.now
         flit.connection_id = endpoint.connection_id
-        if not endpoint.queue.try_put(flit):  # pragma: no cover
-            raise RuntimeError("unbounded queue refused a put")
+        endpoint.queue.append(flit)
+        if endpoint.idle:
+            endpoint.step()
 
-    def _tx_run(self, endpoint: GsTxEndpoint):
-        cycle_ns = self.router.config.timing.link_cycle_ns
-        while True:
-            yield endpoint.queue.when_any()
-            if self.clock is not None:
-                yield self.clock.next_edge(self.sim)
-            while not endpoint.flow.ready:
-                yield endpoint.flow.wait_ready()
-            flit = endpoint.queue.try_get()
-            if flit is None:  # pragma: no cover - single consumer
-                continue
-            if not endpoint.bound:
-                # Stragglers queued before an unbind are dropped; the
-                # manager drains connections before closing them.
-                self.dropped_tx_flits += 1
-                continue
-            endpoint.flow.admit()
-            endpoint.flits_injected += 1
-            self.local_link.transmit_inject(endpoint.steering, flit)
-            yield self.sim.timeout(cycle_ns)
+    def _start_tx(self) -> None:
+        for endpoint in self.tx_endpoints:
+            endpoint.step()
 
     # -- GS receive --------------------------------------------------------------
 
@@ -218,35 +248,41 @@ class NetworkAdapter:
         self._deliver_rx(slot.vc, slot.pop())
 
     def _rx_sync(self, slot) -> None:
-        """Clocked core: the slot buffered a flit.  While the NA holds
-        one for the full FIFO, the new flit waits in the slot."""
-        if not self._sync_held[slot.vc]:
-            self._rx_sync_put(slot.vc)
-
-    def _rx_sync_put(self, iface: int, _put=None) -> None:
-        """Move the buffered flit, stamped with its arrival, into the
-        synchronizer FIFO.  A put the full FIFO cannot take yet holds
-        the flit; its completion releases the hold and moves the next
-        buffered flit, if any."""
-        self._sync_held[iface] = False
-        slot = self._rx_slots[iface]
-        if slot.buffered is None:
+        """Clocked core: take the slot's buffered flit, stamped with its
+        arrival, into the synchronizer FIFO, or hold it while the FIFO
+        is full (the next flit then waits in the slot).  A flit entering
+        an empty FIFO starts the wait for a clock edge."""
+        iface = slot.vc
+        if self._sync_held[iface] is not None or slot.buffered is None:
             return
-        put = self._sync_fifos[iface].put((self.sim.now, slot.pop()))
-        if not put.processed:
-            self._sync_held[iface] = True
-            put.add_callback(partial(self._rx_sync_put, iface))
+        item = (self.sim.now, slot.pop())
+        fifo = self._sync_fifos[iface]
+        if len(fifo) >= SYNC_FIFO_DEPTH:
+            self._sync_held[iface] = item
+            return
+        fifo.append(item)
+        if len(fifo) == 1:
+            self.sim.defer(self.clock.next_edge(self.sim.now),
+                           self._rx_sync_edge, iface)
 
-    def _rx_sync_consumer(self, iface: int):
-        sync_fifo = self._sync_fifos[iface]
-        while True:
-            yield sync_fifo.when_any()
-            while not sync_fifo.is_empty:
-                yield self.clock.next_edge(self.sim)
-                arrival, flit = sync_fifo.head()
-                if self.sim.now - arrival >= self.clock.sync_latency_ns:
-                    sync_fifo.try_get()
-                    self._deliver_rx(iface, flit)
+    def _rx_sync_edge(self, iface: int) -> None:
+        """A clock edge with flits in the FIFO: the head leaves once the
+        synchronizer latency has passed since its stamp.  Taking it
+        moves the held flit into the FIFO and pulls the next buffered
+        flit from the slot, before the head is delivered."""
+        fifo = self._sync_fifos[iface]
+        arrival, flit = fifo[0]
+        if self.sim.now - arrival >= self.clock.sync_latency_ns:
+            fifo.popleft()
+            held = self._sync_held[iface]
+            if held is not None:
+                fifo.append(held)
+                self._sync_held[iface] = None
+                self._rx_sync(self._rx_slots[iface])
+            self._deliver_rx(iface, flit)
+        if fifo:
+            self.sim.defer(self.clock.next_edge(self.sim.now),
+                           self._rx_sync_edge, iface)
 
     # -- BE interface -------------------------------------------------------------
 
@@ -316,24 +352,24 @@ class NetworkAdapter:
         land in :attr:`be_inbox`."""
         self._packet_handlers.append(handler)
 
-    def _be_dispatch(self):
-        from ..core.programming import OP_ACK, is_config_word
-        while True:
-            packet = yield self.router.local_be_rx.get()
-            self.be_packets_received += 1
-            tracer = self.router.tracer
-            if tracer.enabled:
-                tracer.emit(self.sim.now, self.name, "eject",
-                            flit=f"p{packet.packet_id}",
-                            flits=packet.n_flits)
-            words = packet.words
-            if words and is_config_word(words[0]) \
-                    and ((words[0] >> 20) & 0xF) == OP_ACK:
-                seq = (words[0] >> 8) & 0xFFF
-                for handler in self._ack_handlers:
-                    handler(seq)
-                continue
-            self._dispatch_packet(packet)
+    def receive_be(self, packet: BePacket) -> None:
+        """A packet assembled at the router's local BE port: a config
+        ack goes to the ack handlers, anything else to the packet
+        handlers or the inbox."""
+        self.be_packets_received += 1
+        tracer = self.router.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self.name, "eject",
+                        flit=f"p{packet.packet_id}",
+                        flits=packet.n_flits)
+        words = packet.words
+        if words and is_config_word(words[0]) \
+                and ((words[0] >> 20) & 0xF) == OP_ACK:
+            seq = (words[0] >> 8) & 0xFFF
+            for handler in self._ack_handlers:
+                handler(seq)
+            return
+        self._dispatch_packet(packet)
 
     def _dispatch_packet(self, packet: BePacket) -> None:
         for handler in self._packet_handlers:

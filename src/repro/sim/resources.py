@@ -1,13 +1,16 @@
 """Blocking resources built on the kernel: stores and mutexes.
 
-These model the storage primitives of the clockless router's BE path and
-the network adapters:
+These model the storage primitives of the clockless router's BE path:
 
-* :class:`Store` — a capacity-bounded FIFO (BE input buffers and output
-  queues, NA queues and synchronizer FIFOs).  A GS VC slot's latch and
-  buffer are plain fields (``core/output_port.py``), not Stores.
-* :class:`Resource` — FIFO mutual exclusion (used in baseline routers where
-  a shared crossbar *is* arbitrated, unlike MANGO's non-blocking switch).
+* :class:`Store` — a capacity-bounded FIFO: the BE router's input
+  buffers and the BE channels' output queues, an NA's ``be_inbox``, the
+  handshake channel slot and the generic-VC baseline's queues.  The GS
+  path, the NA's transmit queues and synchronizer FIFOs, and the local
+  BE port are plain fields and calls (``core/output_port.py``,
+  ``network/adapter.py``, ``core/router.py``), not Stores.
+* :class:`Resource` — FIFO mutual exclusion: the BE router's output
+  locks, the local BE injection port, and baseline routers where a
+  shared crossbar *is* arbitrated, unlike MANGO's non-blocking switch.
 """
 
 from __future__ import annotations
@@ -117,10 +120,6 @@ class Store:
         self._peekers.append(event)
         return event
 
-    def head(self) -> Any:
-        """The head item without removing it (None when empty)."""
-        return self.items[0] if self.items else None
-
     def _wake_consumers(self) -> None:
         while self._peekers and self.items:
             fire(self._peekers.popleft(), self.items[0])
@@ -163,10 +162,6 @@ class Resource:
     @property
     def in_use(self) -> int:
         return self._users
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
 
     def request(self) -> Event:
         if self._users < self.capacity and not self._queue:

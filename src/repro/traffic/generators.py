@@ -110,7 +110,7 @@ class SaturatingSource:
         endpoint = na.tx_endpoints[self.connection.src_iface]
         while self.sent < self.total_flits:
             # Top up without growing the queue unboundedly.
-            while len(endpoint.queue.items) < self.chunk \
+            while len(endpoint.queue) < self.chunk \
                     and self.sent < self.total_flits:
                 self.connection.send(self.sent)
                 self.sent += 1

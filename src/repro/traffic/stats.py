@@ -179,7 +179,12 @@ def percentile(samples: Sequence[float], q: float) -> float:
         # rounding dip below the true percentile.
         return ordered[low]
     frac = rank - low
-    return ordered[low] * (1 - frac) + ordered[high] * frac
+    value = ordered[low] * (1 - frac) + ordered[high] * frac
+    # The weighted sum can round an ulp outside its two neighbours
+    # (1e-06 and 1.0000000000000002e-06 at a tiny frac give
+    # 9.999999999999997e-07), which would put percentile(x, q) below
+    # percentile(x, 0); clamp it back between them.
+    return min(max(value, ordered[low]), ordered[high])
 
 
 class Histogram:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MangoNetwork, Coord, RouterConfig
+from repro.network.packet import BeFlit
 from repro.network.routing import MAX_HOPS, encode_source_route, route_for
 from repro.network.topology import Direction
 
@@ -97,6 +98,17 @@ class TestWormhole:
         assert len(packets) == len(expected)
         for packet in packets:
             assert tuple(packet.words) in expected
+
+    def test_local_port_rejects_a_body_flit_without_a_head(self):
+        router = MangoNetwork(2, 1).routers[Coord(1, 0)]
+        with pytest.raises(RuntimeError, match="body flit without a head"):
+            router.assemble_local_be(BeFlit(7, is_tail=True))
+
+    def test_local_port_rejects_a_head_inside_a_packet(self):
+        router = MangoNetwork(2, 1).routers[Coord(1, 0)]
+        router.assemble_local_be(BeFlit(7, is_head=True))
+        with pytest.raises(RuntimeError, match="head flit inside a packet"):
+            router.assemble_local_be(BeFlit(8, is_head=True))
 
 
 class TestRoutingRules:

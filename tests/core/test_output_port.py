@@ -10,6 +10,7 @@ from repro import ClockDomain, MangoNetwork, Coord, RouterConfig
 from repro.circuits.sharebox import Sharebox, ShareProtocolError
 from repro.core.output_port import VcSlot
 from repro.core.vc_control import VcControlModule
+from repro.network.adapter import NetworkAdapter
 from repro.network.topology import Direction
 from repro.obs import ChromeTraceSink
 from repro.sim.kernel import Simulator
@@ -196,39 +197,43 @@ class TestSlotFiresUnlock:
 
 class TestGsPathHasNoProcesses:
     def test_boot_entries_are_be_and_adapter_processes_only(self):
-        """VC slots, their link senders and the NA's GS receive side run
-        as callbacks: a freshly built 4x4 mesh schedules boots for the BE
-        input processes, the BE senders, the local BE assemblers and the
-        NA's transmit endpoints and BE dispatchers only (its 576 slots,
-        384 GS senders and 64 unclocked GS receive interfaces add
-        none)."""
+        """VC slots, their link senders, the NA and the router's local BE
+        port run as calls: a freshly built 4x4 mesh schedules boots for
+        the BE input processes and the BE senders, and one start call
+        per NA that steps its transmit endpoints.  Its 576 slots, 384
+        GS senders, 64 transmit endpoints, 64 receive interfaces and 16
+        local BE ports add none."""
         net = MangoNetwork(4, 4)
         sim = net.sim
         boots = collections.Counter(
             entry[4].__self__._generator.__qualname__
             for entry in sim._heap
             if entry[3] is None and entry[5] == (sim._boot_event,))
-        assert sum(boots.values()) == len(sim._heap) == 224
+        starts = collections.Counter(
+            entry[4].__self__ for entry in sim._heap
+            if entry[3] is None
+            and entry[4].__func__ is NetworkAdapter._start_tx)
+        assert len(sim._heap) == 144
         assert boots == {
             "BeRouter._input_process": 16 * 5,
             "NetworkOutputPort._be_sender": 48,
-            "MangoRouter._local_be_assembler": 16,
-            "NetworkAdapter._tx_run": 16 * 4,
-            "NetworkAdapter._be_dispatch": 16,
         }
+        assert starts == {adapter: 1 for adapter in net.adapters.values()}
 
 
 class TestBuildSize:
     def test_8x8_build_stays_under_the_tracked_object_budget(self):
         """A VC slot holds its latch and buffer as plain fields, fires
-        its own unlock and contends for the link itself, and an
-        NA-facing slot builds no window, so a mesh builds no per-VC
-        callable and the collector has less to walk while it is built.
-        The count is deterministic: 23,250 tracked objects (20 more for
-        the first build in a process), against 37,394 when every
-        network VC had a sender object with prebound calls and every
-        slot bound its unlock hook, and 62,226 when every slot kept two
-        one-flit Stores and every window a Gate."""
+        its own unlock and contends for the link itself, an NA-facing
+        slot builds no window, and the NA and the local BE port run as
+        calls, so a mesh builds no per-VC callable and no process or
+        Store between a router and its NA.  The count is deterministic:
+        20,882 tracked objects (20 more for the first build in a
+        process), against 23,250 when the NA's endpoints, BE dispatch
+        and the local BE assembler were processes on Stores, 37,394
+        when every network VC had a sender object with prebound calls
+        and every slot bound its unlock hook, and 62,226 when every slot
+        kept two one-flit Stores and every window a Gate."""
         gc.collect()
         gc.disable()
         try:
@@ -237,7 +242,7 @@ class TestBuildSize:
             added = len(gc.get_objects()) - before
         finally:
             gc.enable()
-        assert added <= 26_000
+        assert added <= 22_000
         router = net.routers[Coord(0, 0)]
         assert all(slot.flow is None for slot in router.local_output.slots)
         assert all(slot.flow.window == 1

@@ -19,13 +19,6 @@ class TestRouting:
         steering = switch.steer_to(Direction.WEST, Direction.EAST, 6)
         assert switch.route(Direction.WEST, steering) == (Direction.EAST, 6)
 
-    def test_route_counts_flits(self, switch):
-        steering = switch.steer_to(Direction.WEST, Direction.EAST, 0)
-        for _ in range(5):
-            switch.route(Direction.WEST, steering)
-        assert switch.flits_routed == 5
-        assert switch.routes_by_port[Direction.EAST] == 5
-
     def test_bad_code_raises(self, switch):
         with pytest.raises(SteeringError):
             switch.route(Direction.NORTH, Steering(7, 3))

@@ -1,9 +1,13 @@
 """Tests for network adapters and the GALS clock boundary."""
 
+import hashlib
+
 import pytest
 
 from repro import ClockDomain, MangoNetwork, Coord
+from repro.obs import ChromeTraceSink
 from repro.sim.kernel import Simulator
+from repro.sim.tracing import Tracer
 
 
 class TestClockDomain:
@@ -21,9 +25,9 @@ class TestClockDomain:
         clock = ClockDomain(period_ns=3.0)
 
         def proc():
-            yield clock.next_edge(sim)
+            yield sim.timeout(clock.next_edge(sim.now))
             first = sim.now
-            yield clock.next_edge(sim)
+            yield sim.timeout(clock.next_edge(sim.now))
             return first, sim.now
 
         first, second = sim.run_process(proc())
@@ -35,10 +39,22 @@ class TestClockDomain:
         clock = ClockDomain(period_ns=4.0, offset_ns=1.0)
 
         def proc():
-            yield clock.next_edge(sim)
+            yield sim.timeout(clock.next_edge(sim.now))
             return sim.now
 
         assert sim.run_process(proc()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("period", [1.1, 3.3, 1 / 3])
+    def test_every_wait_from_an_edge_is_one_period(self, period):
+        """Periods that are not exact in binary: the quotient at an edge
+        can round down onto the edge itself, which once made the wait
+        zero (a 3.3 ns clock stuck at 9.899999999999999 ns)."""
+        clock = ClockDomain(period_ns=period)
+        now = 0.0
+        for _ in range(5000):
+            wait = clock.next_edge(now)
+            assert wait == pytest.approx(period)
+            now += wait
 
     def test_sync_latency(self):
         clock = ClockDomain(period_ns=2.5, sync_cycles=2)
@@ -84,17 +100,41 @@ class TestDroppedFlits:
         assert src.dropped_tx_flits == 2
         assert src.dropped_rx_flits == 0
 
+    def test_a_long_straggler_queue_is_dropped_in_one_step(self):
+        """An unclocked NA drops every straggler in the step that finds
+        the interface unbound, however long the queue is."""
+        net = MangoNetwork(2, 1)
+        conn = net.open_connection_instant(Coord(0, 0), Coord(1, 0))
+        for value in range(5000):
+            conn.send(value)
+        net.run(until=0.5)
+        src = net.adapters[Coord(0, 0)]
+        src.unbind_tx(conn.src_iface)
+        net.run(until=200.0)
+        assert conn.sink.payloads == [0]
+        assert src.dropped_tx_flits == 4999
+        assert not src.tx_endpoints[conn.src_iface].queue
+
 
 class TestGalsBoundary:
-    def test_clocked_na_quantizes_injection(self):
+    @pytest.mark.parametrize("periods, n_flits, on_edge, digest", [
+        ({Coord(0, 0): 5.0}, 5, 5, "b89b6df5b1bb87e0"),
+        ({Coord(0, 0): 2.0, Coord(1, 0): 4.0}, 40, 10, "51a8e7c9c49e943d"),
+    ], ids=["source", "both-ends"])
+    def test_clocked_na_quantizes_injection(self, periods, n_flits, on_edge,
+                                            digest):
         """With a clocked core, flits enter the network on clock edges —
-        the NA performs the synchronization (paper Section 3)."""
-        period = 5.0
-        clocks = {Coord(0, 0): ClockDomain(period_ns=period)}
-        net = MangoNetwork(2, 1, clocks=clocks)
+        the NA performs the synchronization (paper Section 3).  Behind a
+        slower clocked sink the source waits for its window after the
+        edge, so from the eighth flit on most injections follow an
+        unlock instead.  The exported timelines were recorded with the
+        transmit endpoints running as kernel processes."""
+        clocks = {coord: ClockDomain(period_ns=period)
+                  for coord, period in periods.items()}
+        sink = ChromeTraceSink()
+        net = MangoNetwork(2, 1, clocks=clocks, tracer=Tracer(sink=sink))
         conn = net.open_connection_instant(Coord(0, 0), Coord(1, 0))
         src_na = net.adapters[Coord(0, 0)]
-        endpoint = src_na.tx_endpoints[conn.src_iface]
         inject_times = []
         original = src_na.local_link.transmit_inject
 
@@ -103,12 +143,16 @@ class TestGalsBoundary:
             original(steering, flit)
 
         src_na.local_link.transmit_inject = spy
-        for value in range(5):
+        for value in range(n_flits):
             conn.send(value)
-        net.run(until=net.now + 200.0)
-        assert len(inject_times) == 5
-        for time in inject_times:
-            assert time % period == pytest.approx(0.0, abs=1e-9)
+        net.run(until=net.now + 400.0)
+        assert conn.sink.payloads == list(range(n_flits))
+        assert len(inject_times) == n_flits
+        period = periods[Coord(0, 0)]
+        assert sum(time % period == pytest.approx(0.0, abs=1e-9)
+                   for time in inject_times) == on_edge
+        export = sink.to_json().encode()
+        assert hashlib.sha256(export).hexdigest()[:16] == digest
 
     def test_clocked_receiver_adds_sync_latency(self):
         """The receive path pays the 2-cycle synchronizer."""
@@ -132,6 +176,19 @@ class TestGalsBoundary:
             conn.send(value)
         net.run(until=net.now + 3000.0)
         assert conn.sink.payloads == list(range(30))
+
+    @pytest.mark.parametrize("period", [3.3, 1.1, 0.7])
+    def test_clocked_sink_with_an_inexact_period_delivers(self, period):
+        """A 303 MHz core clock is an ordinary input: the clocked receive
+        once polled edge after edge at a standing time and never
+        returned from the run."""
+        net = MangoNetwork(2, 1,
+                           clocks={Coord(1, 0): ClockDomain(period_ns=period)})
+        conn = net.open_connection_instant(Coord(0, 0), Coord(1, 0))
+        for value in range(20):
+            conn.send(value)
+        net.run(until=2000.0)
+        assert conn.sink.payloads == list(range(20))
 
 
 class TestBeDispatch:

@@ -1,8 +1,14 @@
 """Tests for the metrics registry (``repro.obs.metrics``)."""
 
+import gc
+import hashlib
 import json
 
-from repro.obs import MetricsRegistry, MetricsSnapshot, ObsConfig
+import pytest
+
+from repro import MangoNetwork
+from repro.obs import (MetricsRegistry, MetricsSnapshot, ObsConfig,
+                       build_registry)
 from repro.scenarios import ScenarioRunner, get
 
 
@@ -77,3 +83,34 @@ class TestRegistry:
         payload = snap.to_dict()
         assert list(payload["counters"]) == sorted(payload["counters"])
         assert list(payload["gauges"]) == sorted(payload["gauges"])
+
+    def test_probes_add_no_per_element_objects(self):
+        """Each probe walks the network when read, so instrumenting a
+        mesh registers a handful of callables, not one per VC, channel
+        and link."""
+        net = MangoNetwork(8, 8)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            registry = build_registry(net)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert added <= 20
+        assert len(registry.counter_probes) + len(registry.gauge_probes) == 3
+
+
+class TestSnapshotValues:
+    @pytest.mark.parametrize("cell, sample_ns, digest", [
+        ("be-uniform-4x4", None, "46d49a543f216649"),
+        ("gs-under-saturation-4x4", 25.0, "664cec0218651f92"),
+        ("ring-cbr-8x8", None, "36a3990c9409f9d7"),
+    ])
+    def test_snapshot_is_pinned(self, cell, sample_ns, digest):
+        """Every key and value of the smoke snapshot, recorded when each
+        probe was a lambda registered per VC, channel and link."""
+        result = _run(cell, obs=ObsConfig(metrics=True,
+                                          metrics_sample_ns=sample_ns))
+        blob = json.dumps(result.to_dict()["metrics"]).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest

@@ -93,12 +93,6 @@ class TestStoreBasics:
         store.try_put("b")
         assert store.try_get() == "a"
 
-    def test_head_peeks_without_removing(self, sim):
-        store = Store(sim)
-        store.try_put("only")
-        assert store.head() == "only"
-        assert len(store) == 1
-
     def test_is_full_and_empty(self, sim):
         store = Store(sim, capacity=1)
         assert store.is_empty

@@ -69,6 +69,12 @@ class TestPercentile:
         assert percentile(data, 0) == 1.0
         assert percentile(data, 100) == 9.0
 
+    def test_interpolation_never_rounds_below_lower_neighbour(self):
+        values = [1.0, 1.0, 1.0000000000000002e-06, 1e-06]
+        result = percentile(values, 1.0000000000000002e-06)
+        assert percentile(values, 0) == 1e-06
+        assert 1e-06 <= result <= 1.0000000000000002e-06
+
     @given(st.lists(st.floats(min_value=1e-6, max_value=1e6,
                               allow_nan=False, allow_subnormal=False),
                     min_size=1, max_size=50),
