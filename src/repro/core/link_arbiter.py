@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from ..sim.kernel import Event, Simulator, SimulationError, fire
+from ..sim.kernel import Simulator, SimulationError
 from ..sim.tracing import NULL_TRACER
 
 __all__ = [
@@ -56,8 +56,9 @@ class ArbiterPolicy:
 
         ``pending`` is a mapping whose keys are the contending requester
         ids; policies must only inspect the keys (the arbiter passes its
-        internal rid -> (event, request time) table straight through to
-        avoid rebuilding a dict per grant), so the values are opaque.
+        internal rid -> (grant callback, request time) table straight
+        through to avoid rebuilding a dict per grant), so the values are
+        opaque.
         """
         raise NotImplementedError
 
@@ -193,9 +194,11 @@ class LinkArbiter:
 
     The engine is callback-driven: a grant decision is a deferred call
     scheduled for the exact moment the link can next be allocated, not a
-    dispatcher process that sleeps and polls.  Grant times are identical
-    to the process formulation — ``max(selection time, request time +
-    arbitration, link busy-until)`` — at a fraction of the kernel events.
+    dispatcher process that sleeps and polls, and a grant is the
+    requester's own continuation, called at grant time, not an event.
+    Grant times are identical to the process formulation —
+    ``max(selection time, request time + arbitration, link
+    busy-until)`` — at a fraction of the kernel events.
     """
 
     def __init__(self, sim: Simulator, policy: ArbiterPolicy,
@@ -209,7 +212,8 @@ class LinkArbiter:
         self.arbitration_ns = arbitration_ns
         self.name = name
         self.tracer = tracer
-        self._pending: Dict[int, tuple] = {}  # rid -> (event, req_time)
+        # rid -> (grant callback, request time)
+        self._pending: Dict[int, tuple] = {}
         self._busy_until = -float("inf")
         #: Time the queued dispatch fires at, or None when idle.  The
         #: schedule time never decreases, so one deferred call suffices.
@@ -219,24 +223,21 @@ class LinkArbiter:
         # request path skips an isinstance check per flit.
         self._enqueued_hook = getattr(policy, "enqueued", None)
 
-    def request(self, rid: int) -> Event:
-        """Contend for the link; the returned event fires at grant time."""
+    def request(self, rid: int, on_grant: Callable[[], None]) -> None:
+        """Contend for the link; ``on_grant()`` is called at grant time."""
         pending = self._pending
         if rid in pending:
             raise SimulationError(
                 f"{self.name}: requester {rid} already pending (the share "
                 "scheme allows one outstanding flit per VC)")
-        sim = self.sim
-        event = Event(sim)
-        now = sim._now
-        pending[rid] = (event, now)
+        now = self.sim._now
+        pending[rid] = (on_grant, now)
         if self._enqueued_hook is not None:
             self._enqueued_hook(rid)
         when = self._busy_until
         if when < now:
             when = now
         self._schedule_dispatch(when)
-        return event
 
     def _schedule_dispatch(self, when: float) -> None:
         at = self._dispatch_at
@@ -258,7 +259,7 @@ class LinkArbiter:
         # Policies only look at the keys, so the internal table is
         # handed over as-is (no per-grant dict rebuild).
         rid = self.policy.select(pending)
-        event, req_time = pending.pop(rid)
+        on_grant, req_time = pending.pop(rid)
         grant_time = req_time + self.arbitration_ns
         if grant_time < now:
             grant_time = now
@@ -277,13 +278,12 @@ class LinkArbiter:
                              grant_ns=grant_time,
                              waited_ns=grant_time - req_time)
         if grant_time > now:
-            # succeed(delay=...) fires the grant callbacks at grant_time
-            # with a single heap entry (no deferred re-enqueue two-step).
-            event.succeed(grant_time, delay=grant_time - now)
+            # One heap entry calls the grant at grant_time.
+            self.sim.defer(grant_time - now, on_grant)
         else:
             # Backlogged link: the grant is due right now — run the
             # sender's continuation synchronously.
-            fire(event, grant_time)
+            on_grant()
         if pending:
             # The media cycle must elapse before the next grant.
             self._schedule_dispatch(busy_until)

@@ -16,18 +16,22 @@ downstream (Section 4.3): a window of 1 is the paper's share-based GS
 scheme, ``credit_window`` the "commonly used" credit-based scheme (better
 average case at higher cost, compared on the same link by
 `benchmarks/bench_vc_control_schemes.py`), and ``be_buffer_depth`` the
-per-hop BE credits of Section 5.
+per-hop BE credits of Section 5.  The reverse wires of the link release
+a window directly.
+
+Nothing here is a kernel process: the VC slots and the BE channels run
+as calls on plain fields, and a link grant calls the sender back.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, List, Optional
 
 from ..circuits.sharebox import Sharebox, ShareProtocolError, Unsharebox
-from ..network.packet import GsFlit
+from ..network.packet import BeFlit, GsFlit
 from ..network.topology import Direction
 from ..sim.kernel import Event, Simulator
-from ..sim.resources import Store
 from .config import RouterConfig
 from .link_arbiter import LinkArbiter
 
@@ -112,14 +116,14 @@ class VcSlot:
     def contend(self, _event: Optional[Event] = None) -> None:
         """The slot holds a flit: request the link once the VC control
         lets it advance (the downstream sharebox is unlocked, or a
-        credit is free).  Each wait is a callback on the window's or the
-        arbiter's event."""
+        credit is free).  The window wait is a callback on its event;
+        the arbiter calls :meth:`_granted` back."""
         if self.flow.ready:
-            self.port.arbiter.request(self.vc).add_callback(self._granted)
+            self.port.arbiter.request(self.vc, self._granted)
         else:
             self.flow.wait_ready().add_callback(self.contend)
 
-    def _granted(self, _event: Event) -> None:
+    def _granted(self) -> None:
         """Send the buffered flit with the next hop's steering bits."""
         flit = self.pop()
         self.flow.admit()
@@ -147,35 +151,92 @@ class VcSlot:
 
 
 class BeTxChannel:
-    """BE side of a network output port: queue + credit window.
+    """BE side of a network output port: queue + credit window + sender.
 
     The BE channel shares the physical link through the same arbiter but
     has its own credit-based flow control, a window of
     ``be_buffer_depth`` downstream input places, separate from the VC
     control module (paper Sections 4.3 and 5).
+
+    The sender runs as calls on a plain queue of ``be_queue_depth``
+    places: a flit put into an idle channel makes it contend for the
+    link at once (:meth:`contend`), and each grant sends the head flit
+    and contends again while flits remain.  A put into a full queue
+    parks its flit and continuation until the next grant makes room.
     """
 
-    def __init__(self, sim: Simulator, config: RouterConfig, vc: int,
-                 name: str):
-        self.sim = sim
+    def __init__(self, port, vc: int, name: str):
+        config: RouterConfig = port.config
+        self.sim = port.sim
+        self.port = port
         self.config = config
         self.vc = vc
+        self.rid = config.vcs_per_port + vc  # the arbiter's requester id
         self.name = name
-        self.queue = Store(sim, capacity=config.be_queue_depth,
-                           name=f"{name}.q")
-        self.flow = Sharebox(sim, config.be_buffer_depth,
+        self.queue: deque = deque()
+        self.depth = config.be_queue_depth
+        self.flow = Sharebox(self.sim, config.be_buffer_depth,
                              name=f"{name}.credits")
         self.flits_sent = 0
         self.credit_stalls = 0  # head flit found zero downstream credits
+        # False until the port's link is attached: a port without a
+        # link never sends.
+        self.idle = False
+        # The (flit, continuation) of a put into the full queue.
+        self._writer: Optional[tuple] = None
+
+    def put(self, flit: BeFlit, then: Callable[[], None]) -> bool:
+        """Queue ``flit``; True when it is in.  When the queue is full
+        the channel keeps ``flit`` and calls ``then()`` once its next
+        grant has made room and queued it; the put returns False."""
+        queue = self.queue
+        if len(queue) < self.depth:
+            queue.append(flit)
+            if self.idle:
+                self.idle = False
+                self.contend()
+            return True
+        self._writer = (flit, then)
+        return False
+
+    def contend(self, _event: Optional[Event] = None) -> None:
+        """Request the link for the head flit once a downstream credit
+        is free; a stall waits by a callback on the window's event."""
+        flow = self.flow
+        if flow.credits:
+            self.port.arbiter.request(self.rid, self._granted)
+        else:
+            self.credit_stalls += 1
+            flow.wait_ready().add_callback(self.contend)
+
+    def _granted(self) -> None:
+        """Send the head flit.  The place it frees goes to a parked
+        writer first, whose continuation runs before the flit leaves."""
+        queue = self.queue
+        flit = queue.popleft()
+        writer = self._writer
+        if writer is not None:
+            self._writer = None
+            queue.append(writer[0])
+            writer[1]()
+        self.flow.admit()
+        self.flits_sent += 1
+        port = self.port
+        port.router.counters.bump("be_link_flits")
+        port.link.transmit_be(flit)
+        if queue:
+            self.contend()
+        else:
+            self.idle = True
 
 
 class NetworkOutputPort:
     """A network output: V VC slots + BE channels + the link arbiter.
 
     The port is created unattached; :meth:`attach_link` wires it to the
-    physical link, builds the arbiter its VC slots contend for and starts
-    the BE sender processes (the arbiter cycle time depends on the link's
-    pipelining).
+    physical link, builds the arbiter its VC slots and BE channels
+    contend for (the arbiter cycle time depends on the link's
+    pipelining) and lets the BE channels send.
     """
 
     def __init__(self, sim: Simulator, router, direction: Direction,
@@ -190,7 +251,7 @@ class NetworkOutputPort:
             for vc in range(self.config.vcs_per_port)
         ]
         self.be_tx: List[BeTxChannel] = [
-            BeTxChannel(sim, self.config, vc, name=f"{name}.be{vc}")
+            BeTxChannel(self, vc, name=f"{name}.be{vc}")
             for vc in range(self.config.be_channels)
         ]
         self.link = None
@@ -208,37 +269,7 @@ class NetworkOutputPort:
             arbitration_ns=self.config.timing.arbitration_ns(),
             name=f"{self.name}.arb", tracer=self.router.tracer)
         for chan in self.be_tx:
-            self.sim.process(self._be_sender(chan),
-                             name=f"{chan.name}.sender")
-
-    def _be_sender(self, chan: BeTxChannel):
-        be_rid = self.config.vcs_per_port + chan.vc
-        queue = chan.queue
-        flow = chan.flow
-        request = self.arbiter.request
-        bump = self.router.counters.bump
-        transmit = self.link.transmit_be
-        while True:
-            yield queue.when_any()
-            if not flow.credits:
-                chan.credit_stalls += 1
-            while not flow.credits:
-                yield flow.wait_ready()
-            yield request(be_rid)
-            flit = queue.try_get()
-            if flit is None:  # pragma: no cover - single consumer
-                raise ShareProtocolError(f"{chan.name}: queue raced empty")
-            flow.admit()
-            chan.flits_sent += 1
-            bump("be_link_flits")
-            transmit(flit)
-
-    def sharebox_release(self, vc: int) -> None:
-        """Unlock/credit return arriving over the link's reverse wires."""
-        self.slots[vc].flow.release()
-
-    def be_credit_return(self, vc: int) -> None:
-        self.be_tx[vc].flow.release()
+            chan.idle = True
 
 
 class LocalOutputPort:

@@ -71,8 +71,11 @@ class MangoRouter:
         self.local_link = None  # the NA-facing local link
 
         # Local BE port: the BE router delivers flits by call into the
-        # packet being assembled here; the lock serializes injection.
-        self._local_be_packet: Optional[List[BeFlit]] = None
+        # packet being assembled here, one per BE VC (each VC has its
+        # own output lock in the BE router); the injection lock
+        # serializes the packets entering the BE router here.
+        self._local_be_packets: List[Optional[List[BeFlit]]] = (
+            [None] * self.be_router.vcs)
         self._local_be_lock = Resource(sim, 1, name=f"{self.name}.be_inj")
 
     # -- construction hooks --------------------------------------------------
@@ -159,22 +162,26 @@ class MangoRouter:
 
     def assemble_local_be(self, flit: BeFlit) -> None:
         """A flit the BE router delivers to the local port, by call as it
-        leaves the BE router.  A tail flit completes the packet: config
-        packets go to the programming interface, the rest to the NA."""
-        current = self._local_be_packet
+        leaves the BE router, into the packet of its BE VC (the BE
+        input's index: ``flit.vc``, or 0 past the configured VCs).  A
+        tail flit completes the packet: config packets go to the
+        programming interface, the rest to the NA."""
+        vc = flit.vc if flit.vc < self.be_router.vcs else 0
+        packets = self._local_be_packets
+        current = packets[vc]
         if flit.is_head:
             if current is not None:
                 raise RuntimeError(
                     f"{self.name}: head flit inside a packet "
                     "(wormhole coherency broken)")
-            current = self._local_be_packet = [flit]
+            current = packets[vc] = [flit]
         else:
             if current is None:
                 raise RuntimeError(
                     f"{self.name}: body flit without a head")
             current.append(flit)
         if flit.is_tail:
-            self._local_be_packet = None
+            packets[vc] = None
             self._finish_packet(current)
 
     def _finish_packet(self, flits: List[BeFlit]) -> None:

@@ -338,7 +338,7 @@ class NetworkAdapter:
         port = self.router.output_ports[first_move]
         best_vc, best_credits = 0, -1
         for index, channel in enumerate(port.be_tx):
-            free = channel.flow.credits - len(channel.queue.items)
+            free = channel.flow.credits - len(channel.queue)
             if free > best_credits:
                 best_vc, best_credits = index, free
         return best_vc

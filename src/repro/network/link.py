@@ -109,10 +109,12 @@ class Link:
         """Unlock toggle from the downstream VC control module back to the
         sharebox of VC ``vc`` at the upstream output port."""
         self.unlocks += 1
-        self.sim.defer(self.unlock_ns, self._src_port.sharebox_release, vc)
+        self.sim.defer(self.unlock_ns, self._src_port.slots[vc].flow.release)
 
     def return_be_credit(self, vc: int) -> None:
-        self.sim.defer(self.credit_ns, self._src_port.be_credit_return, vc)
+        """Credit from the downstream BE input back to the window of BE
+        channel ``vc`` at the upstream output port."""
+        self.sim.defer(self.credit_ns, self._src_port.be_tx[vc].flow.release)
 
 
 class LocalLink:

@@ -14,10 +14,11 @@ runs).
 Gauges (occupancies, queue depths) are instantaneous, so the registry
 can additionally *sample* them on a cadence: ``sample_ns`` starts a tiny
 kernel process that reads every gauge each period and tracks the
-high-water mark.  The sampler never stops by itself, so the run that
-hosts it must be bounded by something else: the scenario runner only
-allows it beside a driving process, whose run ends at ``max_ns`` plus
-the drain.
+high-water mark.  A gauge probe names its gauges once, on the first
+sample, and from then on reads their values only.  The sampler never
+stops by itself, so the run that hosts it must be bounded by something
+else: the scenario runner only allows it beside a driving process,
+whose run ends at ``max_ns`` plus the drain.
 
 :func:`instrument_network` picks the standard probes for any of the
 repo's network types by duck-typing — mango routers, the fair-share
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["MetricsRegistry", "MetricsSnapshot", "instrument_network",
            "build_registry"]
@@ -66,10 +67,17 @@ class MetricsRegistry:
     def __init__(self, sim, sample_ns: Optional[float] = None):
         self.sim = sim
         self.sample_ns = sample_ns
-        #: Probes: each reads the network now, returning ``{name: value}``.
+        #: Counter probes: each reads the network now, returning
+        #: ``{name: value}``.
         self.counter_probes: List[Callable[[], Dict[str, float]]] = []
-        self.gauge_probes: List[Callable[[], Dict[str, float]]] = []
-        self._high_water: Dict[str, float] = {}
+        #: Gauge probes: each returns ``(names, read)`` on the first
+        #: sample: its gauge names, and a call that reads their values,
+        #: in the same order, at every sample.
+        self.gauge_probes: List[Callable[[], Tuple[
+            List[str], Callable[[], List[float]]]]] = []
+        # Per gauge probe from the first sample on: its names, its read
+        # call and the high-water mark of each gauge.
+        self._gauges: Optional[List[tuple]] = None
         self.samples_taken = 0
         if sample_ns is not None:
             if sample_ns <= 0:
@@ -86,11 +94,15 @@ class MetricsRegistry:
     def sample(self) -> None:
         """Read every gauge once, folding into the high-water marks."""
         self.samples_taken += 1
-        high = self._high_water
-        for probe in self.gauge_probes:
-            for name, value in probe().items():
-                if name not in high or value > high[name]:
-                    high[name] = value
+        if self._gauges is None:
+            self._gauges = []
+            for probe in self.gauge_probes:
+                names, read = probe()
+                self._gauges.append((names, read, read()))
+            return
+        for _names, read, high in self._gauges:
+            high[:] = [value if value > mark else mark
+                       for mark, value in zip(high, read())]
 
     # -- read-out ---------------------------------------------------------
 
@@ -101,10 +113,15 @@ class MetricsRegistry:
         for probe in self.counter_probes:
             for name, value in probe().items():
                 counters[name] = int(value)
+        gauges: Dict[str, float] = {}
+        for names, _read, high in self._gauges:
+            for name, value in zip(names, high):
+                if name not in gauges or value > gauges[name]:
+                    gauges[name] = value
         return MetricsSnapshot(time_ns=self.sim.now,
                                samples=self.samples_taken,
                                counters=counters,
-                               gauges=dict(self._high_water))
+                               gauges=gauges)
 
 
 # -- standard probes (duck-typed per network family) ----------------------
@@ -150,17 +167,24 @@ def _mango_counters(network) -> Dict[str, float]:
     return out
 
 
-def _mango_gauges(network) -> Dict[str, float]:
-    """Arbiter busy time, VC occupancies and BE credit levels."""
-    out: Dict[str, float] = {}
+def _mango_gauges(network):
+    """Arbiter busy time, VC occupancies and BE credit levels: their
+    names, and the call that reads them."""
+    arbiters, slots, channels = [], [], []
     for port in _mango_ports(network):
         if getattr(port, "arbiter", None) is not None:
-            out[f"arbiter.{port.name}.busy_ns"] = port.arbiter.stats.busy_ns
-        for slot in port.slots:
-            out[f"vc.{slot.name}.occupancy"] = slot.occupancy
-        for chan in getattr(port, "be_tx", ()):
-            out[f"be.{chan.name}.credits"] = chan.flow.credits
-    return out
+            arbiters.append(port)
+        slots.extend(port.slots)
+        channels.extend(getattr(port, "be_tx", ()))
+    names = ([f"arbiter.{port.name}.busy_ns" for port in arbiters]
+             + [f"vc.{slot.name}.occupancy" for slot in slots]
+             + [f"be.{chan.name}.credits" for chan in channels])
+
+    def read() -> List[float]:
+        return ([port.arbiter.stats.busy_ns for port in arbiters]
+                + [slot.occupancy for slot in slots]
+                + [chan.flow.credits for chan in channels])
+    return names, read
 
 
 def _link_counters(network) -> Dict[str, float]:
@@ -187,11 +211,17 @@ def _fabric_counters(network) -> Dict[str, float]:
             "fabric.batched_hops": network.batched_hops}
 
 
-def _fabric_gauges(network) -> Dict[str, float]:
-    """Queue depth per fair-share transport link."""
-    return {f"fabric.{label}.queue_depth":
-            len(fair.be_queue) + sum(len(q) for q in fair.gs_queues.values())
-            for label, fair in _link_labels(network.fair_links)}
+def _fabric_gauges(network):
+    """Queue depth per fair-share transport link: the names, and the
+    call that reads them."""
+    links = _link_labels(network.fair_links)
+    names = [f"fabric.{label}.queue_depth" for label, _fair in links]
+    fairs = [fair for _label, fair in links]
+
+    def read() -> List[float]:
+        return [len(fair.be_queue) + sum(map(len, fair.gs_queues.values()))
+                for fair in fairs]
+    return names, read
 
 
 def instrument_network(registry: MetricsRegistry, network) -> None:

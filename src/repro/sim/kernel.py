@@ -302,9 +302,10 @@ class Process(Event):
         # bound-method object per yield.
         self._resume = self._do_resume
         self.name = name or getattr(generator, "__name__", "process")
-        # First resume rides a shared pre-completed event: a 16x16 mango
-        # mesh boots about 4,800 processes, so the per-process bootstrap
-        # Event is replaced by one deferred call against a singleton.
+        # First resume rides a shared pre-completed event: the traffic
+        # of a 16x16 mesh boots hundreds of sources and collectors, so
+        # the per-process bootstrap Event is replaced by one deferred
+        # call against a singleton.
         sim.defer(0.0, self._resume, sim._boot_event)
 
     def _do_resume(self, event: Event) -> None:

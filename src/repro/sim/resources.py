@@ -1,16 +1,15 @@
 """Blocking resources built on the kernel: stores and mutexes.
 
-These model the storage primitives of the clockless router's BE path:
-
-* :class:`Store` — a capacity-bounded FIFO: the BE router's input
-  buffers and the BE channels' output queues, an NA's ``be_inbox``, the
-  handshake channel slot and the generic-VC baseline's queues.  The GS
-  path, the NA's transmit queues and synchronizer FIFOs, and the local
-  BE port are plain fields and calls (``core/output_port.py``,
+* :class:`Store` — a capacity-bounded FIFO: an NA's ``be_inbox``, the
+  handshake channel slot and the generic-VC baseline's queues.  The
+  mango router's data paths — the GS VC slots, the BE router's input
+  buffers and output locks, the BE channels' queues, the NA's transmit
+  queues and synchronizer FIFOs, and the local BE port — are plain
+  fields and calls (``core/output_port.py``, ``core/be_router.py``,
   ``network/adapter.py``, ``core/router.py``), not Stores.
-* :class:`Resource` — FIFO mutual exclusion: the BE router's output
-  locks, the local BE injection port, and baseline routers where a
-  shared crossbar *is* arbitrated, unlike MANGO's non-blocking switch.
+* :class:`Resource` — FIFO mutual exclusion: the local BE injection
+  port, and baseline routers where a shared crossbar *is* arbitrated,
+  unlike MANGO's non-blocking switch.
 """
 
 from __future__ import annotations
@@ -24,14 +23,8 @@ __all__ = ["Store", "Resource"]
 
 
 class Store:
-    """Capacity-bounded FIFO with peek support.
-
-    ``put`` blocks while full, ``get`` blocks while empty.  ``when_any``
-    returns an event that fires as soon as the store is non-empty *without*
-    removing the item — the BE sender uses this to contend for the link
-    while the flit stays in its queue (the queue slot is only freed when
-    the flit actually departs).
-    """
+    """Capacity-bounded FIFO: ``put`` blocks while full, ``get`` blocks
+    while empty."""
 
     def __init__(self, sim: Simulator, capacity: float = float("inf"),
                  name: str = ""):
@@ -41,11 +34,10 @@ class Store:
         self.capacity = capacity
         self.name = name
         self.items: deque = deque()
-        # Waiter queues are created on first use: a large mesh allocates
-        # tens of thousands of stores and most never see contention.
+        # Waiter queues are created on first use: most stores never see
+        # contention.
         self._getters: Optional[deque] = None
         self._putters: Optional[deque] = None  # (event, item)
-        self._peekers: Optional[deque] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -66,7 +58,7 @@ class Store:
         """
         if len(self.items) < self.capacity and not self._putters:
             self.items.append(item)
-            if self._peekers or self._getters:
+            if self._getters:
                 self._wake_consumers()
             return Event.completed(self.sim)
         event = Event(self.sim)
@@ -80,7 +72,7 @@ class Store:
         if len(self.items) >= self.capacity or self._putters:
             return False
         self.items.append(item)
-        if self._peekers or self._getters:
+        if self._getters:
             self._wake_consumers()
         return True
 
@@ -109,20 +101,7 @@ class Store:
             self._admit_writers()
         return item
 
-    def when_any(self) -> Event:
-        """Event that fires (with the head item, not removed) once the
-        store is non-empty."""
-        if self.items:
-            return Event.completed(self.sim, self.items[0])
-        event = Event(self.sim)
-        if self._peekers is None:
-            self._peekers = deque()
-        self._peekers.append(event)
-        return event
-
     def _wake_consumers(self) -> None:
-        while self._peekers and self.items:
-            fire(self._peekers.popleft(), self.items[0])
         while self._getters and self.items:
             item = self.items.popleft()
             fire(self._getters.popleft(), item)
@@ -134,9 +113,7 @@ class Store:
             event, item = self._putters.popleft()
             self.items.append(item)
             fire(event)
-            # Newly stored item may satisfy a waiting getter/peeker.
-            while self._peekers and self.items:
-                fire(self._peekers.popleft(), self.items[0])
+            # Newly stored item may satisfy a waiting getter.
             while self._getters and self.items:
                 got = self.items.popleft()
                 fire(self._getters.popleft(), got)

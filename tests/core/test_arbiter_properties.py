@@ -9,24 +9,37 @@ CYCLE = 2.0
 ARB = 0.5
 
 
+def requester(sim, arbiter, rid, repeats, grants, gap=None):
+    """Request ``repeats`` grants for ``rid``, logging each as
+    (grant_time, rid); after a grant, request again at once, or ``gap``
+    ns later.  Returns the call that makes the first request."""
+    left = repeats
+
+    def granted():
+        nonlocal left
+        grants.append((sim.now, rid))
+        left -= 1
+        if not left:
+            return
+        if gap is None:
+            arbiter.request(rid, granted)
+        else:
+            sim.defer(gap, arbiter.request, rid, granted)
+
+    return lambda: arbiter.request(rid, granted)
+
+
 def run_schedule(policy_name, n_requesters, schedule):
-    """Drive an arbiter with (delay, rid) request processes; returns the
+    """Drive an arbiter with (delay, rid, repeats) requesters; returns the
     grant log [(grant_time, rid)] sorted by time."""
     sim = Simulator()
     arbiter = LinkArbiter(sim, make_policy(policy_name, n_requesters),
                           cycle_ns=CYCLE, arbitration_ns=ARB)
     grants = []
-
-    def requester(delay, rid, repeats):
-        yield sim.timeout(delay)
-        for _ in range(repeats):
-            value = yield arbiter.request(rid)
-            grants.append((value, rid))
-            # Model the share-based round trip before re-requesting.
-            yield sim.timeout(CYCLE * 1.3)
-
-    for index, (delay, rid, repeats) in enumerate(schedule):
-        sim.process(requester(delay, rid, repeats))
+    for delay, rid, repeats in schedule:
+        # Model the share-based round trip before re-requesting.
+        sim.defer(delay, requester(sim, arbiter, rid, repeats, grants,
+                                   gap=CYCLE * 1.3))
     sim.run()
     return sorted(grants)
 
@@ -90,14 +103,8 @@ class TestArbiterInvariants:
         arbiter = LinkArbiter(sim, make_policy("alg", n_requesters),
                               cycle_ns=CYCLE, arbitration_ns=ARB)
         grants = []
-
-        def requester(rid):
-            for _ in range(6):
-                value = yield arbiter.request(rid)
-                grants.append((value, rid))
-
-        for _, rid, _ in schedule:
-            sim.process(requester(rid))
+        for _, rid, repeats in schedule:
+            requester(sim, arbiter, rid, repeats, grants)()
         sim.run()
         order = [rid for _, rid in sorted(grants)]
         for start in range(0, len(order) - n_requesters + 1,

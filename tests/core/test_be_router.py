@@ -1,11 +1,15 @@
 """Tests for the BE source router (paper Section 5, Figure 7)."""
 
+import hashlib
+
 import pytest
 
 from repro import MangoNetwork, Coord, RouterConfig
 from repro.network.packet import BeFlit
 from repro.network.routing import MAX_HOPS, encode_source_route, route_for
 from repro.network.topology import Direction
+from repro.obs import ChromeTraceSink
+from repro.sim.tracing import Tracer
 
 
 def collect_inbox(net, coord):
@@ -163,6 +167,40 @@ class TestBeVcExtension:
         net.run(until=200.0)
         packets = collect_inbox(net, Coord(1, 0))
         assert sorted(p.words[0] for p in packets) == [1, 2]
+
+    def test_two_vcs_stream_into_the_local_port_at_once(self):
+        """Each BE VC has its own output lock, so packets on both VCs
+        can stream into one local port at the same time; the port
+        assembles one packet per VC instead of refusing the second
+        head."""
+        net = MangoNetwork(3, 1, config=RouterConfig(be_channels=2))
+        net.send_be(Coord(0, 0), Coord(2, 0), [0xA0, 0xA1, 0xA2], vc=0)
+        net.send_be(Coord(1, 0), Coord(2, 0), [0xB0, 0xB1], vc=1)
+        net.run(until=5000.0)
+        packets = collect_inbox(net, Coord(2, 0))
+        assert [p.words for p in packets] == [[0xB0, 0xB1],
+                                              [0xA0, 0xA1, 0xA2]]
+        assert [p.arrive_time for p in packets] == [
+            pytest.approx(9.9225), pytest.approx(13.8075)]
+
+    def test_two_vc_timeline_is_pinned(self):
+        """No golden cell uses two BE channels, so this timeline pins
+        the per-VC output locks, channels and senders: 16 adaptive
+        packets from one tile spread evenly over both VCs of the first
+        link.  Recorded when the BE inputs and senders were kernel
+        processes on Stores and Resources."""
+        sink = ChromeTraceSink()
+        net = MangoNetwork(3, 1, config=RouterConfig(be_channels=2),
+                           tracer=Tracer(sink=sink))
+        for _ in range(16):
+            net.send_be(Coord(0, 0), Coord(2, 0), list(range(6)),
+                        vc="adaptive")
+        net.run(until=5000.0)
+        assert len(collect_inbox(net, Coord(2, 0))) == 16
+        port = net.routers[Coord(0, 0)].output_ports[Direction.EAST]
+        assert [chan.flits_sent for chan in port.be_tx] == [56, 56]
+        export = sink.to_json().encode()
+        assert hashlib.sha256(export).hexdigest()[:16] == "b0accda3f6c4564f"
 
     def test_zero_be_channels_forbids_be(self):
         config = RouterConfig(be_channels=0)

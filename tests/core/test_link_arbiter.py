@@ -21,17 +21,21 @@ def drain_grants(sim, arbiter, schedule):
     """Drive the arbiter: schedule is [(time, rid)] request times; returns
     the grant order [(grant_time, rid)]."""
     grants = []
-
-    def requester(time, rid):
-        yield sim.timeout(time)
-        event = arbiter.request(rid)
-        value = yield event
-        grants.append((value, rid))
-
     for time, rid in schedule:
-        sim.process(requester(time, rid))
+        sim.defer(time, arbiter.request, rid,
+                  lambda rid=rid: grants.append((sim.now, rid)))
     sim.run()
     return sorted(grants)
+
+
+def request_repeatedly(arbiter, rid, grants, limit=None):
+    """Keep ``rid`` backlogged: count each grant in ``grants[rid]`` and
+    request again at once, up to ``limit`` grants (forever if None)."""
+    def granted():
+        grants[rid] += 1
+        if limit is None or grants[rid] < limit:
+            arbiter.request(rid, granted)
+    arbiter.request(rid, granted)
 
 
 class TestMakePolicy:
@@ -125,9 +129,9 @@ class TestLinkArbiterEngine:
     def test_double_request_same_rid_rejected(self, sim):
         arbiter = LinkArbiter(sim, FairSharePolicy(4), cycle_ns=2.0,
                               arbitration_ns=0.5)
-        arbiter.request(0)
+        arbiter.request(0, lambda: None)
         with pytest.raises(SimulationError):
-            arbiter.request(0)
+            arbiter.request(0, lambda: None)
 
     def test_fair_share_order_under_contention(self, sim):
         arbiter = LinkArbiter(sim, FairSharePolicy(4), cycle_ns=1.0,
@@ -174,14 +178,8 @@ class TestFairShareGuarantee:
                               arbitration_ns=0.1)
         counts = {rid: 0 for rid in range(vcs)}
         rounds = 50
-
-        def requester(rid):
-            for _ in range(rounds):
-                yield arbiter.request(rid)
-                counts[rid] += 1
-
         for rid in range(vcs):
-            sim.process(requester(rid))
+            request_repeatedly(arbiter, rid, counts, limit=rounds)
         sim.run(until=vcs * rounds * 1.0 - 1.0)
         observed = set(counts.values())
         assert max(observed) - min(observed) <= 1
@@ -191,18 +189,12 @@ class TestFairShareGuarantee:
         (Section 4.4)."""
         arbiter = LinkArbiter(sim, FairSharePolicy(8), cycle_ns=1.0,
                               arbitration_ns=0.1)
-        count = [0]
-
-        def only_requester():
-            for _ in range(20):
-                yield arbiter.request(5)
-                count[0] += 1
-
-        sim.process(only_requester())
+        count = {5: 0}
+        request_repeatedly(arbiter, 5, count, limit=20)
         sim.run()
         # 20 grants in ~20 cycles: no slot wasted on absent VCs.
         assert sim.now < 25.0
-        assert count[0] == 20
+        assert count[5] == 20
 
 
 class TestAlgGuarantee:
@@ -216,14 +208,8 @@ class TestAlgGuarantee:
             arbiter = LinkArbiter(sim, make_policy(policy_name, vcs),
                                   cycle_ns=1.0, arbitration_ns=0.1)
             counts = {rid: 0 for rid in range(vcs)}
-
-            def requester(rid, a=arbiter, c=counts):
-                while True:
-                    yield a.request(rid)
-                    c[rid] += 1
-
             for rid in range(vcs):
-                sim.process(requester(rid))
+                request_repeatedly(arbiter, rid, counts)
             sim.run(until=200.0)
             if expect_starved:
                 assert counts[vcs - 1] <= 1

@@ -11,6 +11,7 @@ from repro.circuits.sharebox import Sharebox, ShareProtocolError
 from repro.core.output_port import VcSlot
 from repro.core.vc_control import VcControlModule
 from repro.network.adapter import NetworkAdapter
+from repro.network.packet import BeFlit
 from repro.network.topology import Direction
 from repro.obs import ChromeTraceSink
 from repro.sim.kernel import Simulator
@@ -195,29 +196,25 @@ class TestSlotFiresUnlock:
                        if entry[0] == "contend")
 
 
-class TestGsPathHasNoProcesses:
-    def test_boot_entries_are_be_and_adapter_processes_only(self):
-        """VC slots, their link senders, the NA and the router's local BE
-        port run as calls: a freshly built 4x4 mesh schedules boots for
-        the BE input processes and the BE senders, and one start call
-        per NA that steps its transmit endpoints.  Its 576 slots, 384
-        GS senders, 64 transmit endpoints, 64 receive interfaces and 16
-        local BE ports add none."""
+class TestMeshHasNoProcesses:
+    def test_a_fresh_mesh_schedules_only_its_adapter_starts(self):
+        """VC slots, their link senders, the BE router's inputs and
+        output locks, the BE channels' senders, the NA and the router's
+        local BE port all run as calls: a freshly built 4x4 mesh boots
+        no process and schedules one start call per NA, which steps its
+        transmit endpoints.  Its 576 slots, 384 GS senders, 80 BE
+        inputs, 48 BE senders, 64 transmit endpoints, 64 receive
+        interfaces and 16 local BE ports add none."""
         net = MangoNetwork(4, 4)
         sim = net.sim
-        boots = collections.Counter(
-            entry[4].__self__._generator.__qualname__
-            for entry in sim._heap
-            if entry[3] is None and entry[5] == (sim._boot_event,))
+        boots = [entry for entry in sim._heap
+                 if entry[3] is None and entry[5] == (sim._boot_event,)]
         starts = collections.Counter(
             entry[4].__self__ for entry in sim._heap
             if entry[3] is None
             and entry[4].__func__ is NetworkAdapter._start_tx)
-        assert len(sim._heap) == 144
-        assert boots == {
-            "BeRouter._input_process": 16 * 5,
-            "NetworkOutputPort._be_sender": 48,
-        }
+        assert len(sim._heap) == 16
+        assert boots == []
         assert starts == {adapter: 1 for adapter in net.adapters.values()}
 
 
@@ -225,15 +222,19 @@ class TestBuildSize:
     def test_8x8_build_stays_under_the_tracked_object_budget(self):
         """A VC slot holds its latch and buffer as plain fields, fires
         its own unlock and contends for the link itself, an NA-facing
-        slot builds no window, and the NA and the local BE port run as
-        calls, so a mesh builds no per-VC callable and no process or
-        Store between a router and its NA.  The count is deterministic:
-        20,882 tracked objects (20 more for the first build in a
-        process), against 23,250 when the NA's endpoints, BE dispatch
-        and the local BE assembler were processes on Stores, 37,394
-        when every network VC had a sender object with prebound calls
-        and every slot bound its unlock hook, and 62,226 when every slot
-        kept two one-flit Stores and every window a Gate."""
+        slot builds no window, and the NA, the local BE port, the BE
+        router's inputs and the BE channels' senders run as calls, so a
+        mesh builds no per-VC callable, no process and no Store (a
+        router's one Resource is its local BE injection lock).  The
+        count is deterministic: 17,010
+        tracked objects (20 more for the first build in a process),
+        against 20,882 when the BE inputs and senders were processes on
+        Stores and Resources, 23,250 when the NA's endpoints, BE
+        dispatch and the local BE assembler were processes on Stores
+        too, 37,394 when every network VC had a sender object with
+        prebound calls and every slot bound its unlock hook, and 62,226
+        when every slot kept two one-flit Stores and every window a
+        Gate."""
         gc.collect()
         gc.disable()
         try:
@@ -242,7 +243,7 @@ class TestBuildSize:
             added = len(gc.get_objects()) - before
         finally:
             gc.enable()
-        assert added <= 22_000
+        assert added <= 17_100
         router = net.routers[Coord(0, 0)]
         assert all(slot.flow is None for slot in router.local_output.slots)
         assert all(slot.flow.window == 1
@@ -327,3 +328,22 @@ class TestBeTxChannel:
             chan.flow.admit()
         with pytest.raises(ShareProtocolError):
             chan.flow.admit()
+
+    def test_a_put_into_a_full_queue_waits_for_the_next_grant(self):
+        """A put into the full queue parks its flit; the next grant
+        queues it and resumes the writer before the head flit leaves,
+        and the channel keeps contending until its queue is empty."""
+        net = MangoNetwork(2, 1)
+        port = net.routers[Coord(0, 0)].output_ports[Direction.EAST]
+        chan = port.be_tx[0]
+        log = []
+        port.link.transmit_be = lambda flit: log.append(
+            ("sent", flit.word, len(chan.queue)))
+        depth = chan.depth
+        assert all(chan.put(BeFlit(word), None) for word in range(depth))
+        assert not chan.put(BeFlit(depth), lambda: log.append(
+            ("resumed", len(chan.queue))))
+        net.run(until=100.0)
+        assert log[:2] == [("resumed", depth), ("sent", 0, depth)]
+        assert [entry[1] for entry in log[1:]] == list(range(depth + 1))
+        assert chan.flits_sent == depth + 1 and chan.idle

@@ -106,6 +106,21 @@ class TestDataPathViolations:
         with pytest.raises(RuntimeError, match="credit"):
             router.be_router.accept(Direction.WEST, BeFlit(99))
 
+    def test_be_input_overflow_counts_the_flit_it_holds(self):
+        """On a running network the input takes the head at once; the
+        head still holds its upstream credit while it decodes, so the
+        window is full after as many flits as credits."""
+        net = MangoNetwork(2, 1)
+        net.run(until=1.0)
+        router = net.routers[Coord(1, 0)]
+        from repro.network.packet import BeFlit
+        depth = net.config.be_buffer_depth
+        for index in range(depth):
+            router.be_router.accept(Direction.WEST,
+                                    BeFlit(index, is_head=(index == 0)))
+        with pytest.raises(RuntimeError, match="credit"):
+            router.be_router.accept(Direction.WEST, BeFlit(99))
+
 
 class TestKernelErrorSurfacing:
     def test_crash_inside_traffic_process_reaches_caller(self):

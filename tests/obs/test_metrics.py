@@ -10,6 +10,7 @@ from repro import MangoNetwork
 from repro.obs import (MetricsRegistry, MetricsSnapshot, ObsConfig,
                        build_registry)
 from repro.scenarios import ScenarioRunner, get
+from repro.sim.kernel import Simulator
 
 
 def _run(name, obs=None):
@@ -99,6 +100,31 @@ class TestRegistry:
             gc.enable()
         assert added <= 20
         assert len(registry.counter_probes) + len(registry.gauge_probes) == 3
+
+
+    def test_gauge_probe_is_named_once_and_read_per_sample(self):
+        """A gauge probe names its gauges on the first sample only;
+        every sample after it reads values, folded into high-water
+        marks."""
+        calls = {"names": 0, "read": 0}
+        values = iter([[1, 5], [3, 2], [2, 4]])
+
+        def probe():
+            calls["names"] += 1
+
+            def read():
+                calls["read"] += 1
+                return next(values)
+            return ["a.x", "a.y"], read
+
+        registry = MetricsRegistry(Simulator())
+        registry.gauge_probes.append(probe)
+        registry.sample()
+        registry.sample()
+        snap = registry.snapshot()
+        assert calls == {"names": 1, "read": 3}
+        assert snap.samples == 3
+        assert snap.gauges == {"a.x": 3, "a.y": 5}
 
 
 class TestSnapshotValues:

@@ -101,43 +101,6 @@ class TestStoreBasics:
 
 
 class TestStorePeekAndSpace:
-    def test_when_any_immediate_when_occupied(self, sim):
-        store = Store(sim)
-        store.try_put("x")
-
-        def proc():
-            head = yield store.when_any()
-            return head
-
-        assert sim.run_process(proc()) == "x"
-
-    def test_when_any_waits_for_item(self, sim):
-        store = Store(sim)
-        log = []
-
-        def watcher():
-            head = yield store.when_any()
-            log.append((sim.now, head))
-
-        def producer():
-            yield sim.timeout(2.0)
-            yield store.put("later")
-
-        sim.process(watcher())
-        sim.process(producer())
-        sim.run()
-        assert log == [(2.0, "later")]
-
-    def test_when_any_does_not_remove(self, sim):
-        store = Store(sim)
-
-        def proc():
-            yield store.put(1)
-            yield store.when_any()
-            return len(store)
-
-        assert sim.run_process(proc()) == 1
-
     @given(st.lists(st.integers(), min_size=1, max_size=30),
            st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
